@@ -152,21 +152,19 @@ def provenance() -> dict:
 class Ledger:
     """Correctness gate over every attempt: the first attempt of each
     operation is checked in full and hashed; every later attempt must hash
-    the same."""
+    the same. ``attempted`` and ``failed`` count distinct operations, not
+    attempts, so they depend on the inputs alone and not on how many passes
+    fit in the run."""
 
     def __init__(self, wl) -> None:
         self.wl = wl
         self.first: dict[int, tuple[list[str], dict[str, str] | None]] = {}
         self.focals: dict[int, int] = {}
         self.outcomes: dict[int, object] = {}
-        self.attempted = 0
-        self.failed = 0
         self.mismatches = 0
-        self.failed_by_group: Counter = Counter()
 
     def record(self, i: int, op, result, exc: BaseException | None) -> None:
         wl = self.wl
-        self.attempted += 1
         if i not in self.first:
             if exc is not None:
                 problems, digests = [f"raised {type(exc).__name__}: {exc}"], None
@@ -175,14 +173,24 @@ class Ledger:
                 self.focals[i] = wl.focals(result)
                 self.outcomes[i] = wl.outcome(op, result)
             self.first[i] = (problems, digests)
-        else:
-            problems, digests = self.first[i]
-            if exc is not None or wl.digests(op, result) != digests:
-                self.mismatches += 1
-                problems = problems + ["output differs from the first attempt"]
-        if problems:
-            self.failed += 1
-            self.failed_by_group[wl.group(op)] += 1
+            return
+        problems, digests = self.first[i]
+        if exc is not None or wl.digests(op, result) != digests:
+            self.mismatches += 1
+            note = "output differs from the first attempt"
+            if note not in problems:
+                self.first[i] = (problems + [note], digests)
+
+    @property
+    def attempted(self) -> int:
+        return len(self.first)
+
+    @property
+    def failed(self) -> int:
+        return sum(1 for problems, _ in self.first.values() if problems)
+
+    def failed_by_group(self) -> Counter:
+        return Counter(self.wl.group(self.wl.ops[i]) for i, (p, _) in self.first.items() if p)
 
     def digests(self) -> dict[str, str]:
         out: dict[str, str] = {}
@@ -309,7 +317,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool, smoke: bool = Fal
         "setup_s_each": [scaled for _, scaled in setups],
         "setup_s_raw": [raw for raw, _ in setups],
         "attempted": ledger.attempted, "failed": ledger.failed, "correct": correct,
-        "failed_by_group": dict(ledger.failed_by_group),
+        "failed_by_group": dict(ledger.failed_by_group()),
         "failures": ledger.failures(), "cross_check": cross, "mismatches": ledger.mismatches,
         "digests": ledger.digests(),
         "groups": group_table(wl, ledger, timings),

@@ -142,7 +142,12 @@ class SweepWorkload(Workload):
         return bf_scenario.ScenarioConfig(rule=rule, seed=seed, **self.shape)
 
     def generate(self) -> None:
+        """A fixed block of scenarios, in an order drawn from the seed."""
         self.ops = [(s, r) for s in self.scenario_seeds() for r in self.RULES]
+        random.Random(self.seed).shuffle(self.ops)
+
+    def warm_up(self) -> None:
+        self.execute(min(self.ops))
 
     def stem(self, op) -> str:
         seed, rule = op
@@ -226,7 +231,14 @@ class SweepWorkload(Workload):
 
 
 class SweepDesk(SweepWorkload):
-    """Seeds ``seed*100 .. seed*100+99`` at the acceptance-gate shape."""
+    """Scenario seeds 0-99 at the acceptance-gate shape; ``--seed`` only
+    permutes their order.
+
+    The block is fixed because its dempster scenarios include the known
+    baseline failures (8 of the 600 operations end with |sum - 1| over
+    ``SUM_TOL``): with a fixed block, ``failed`` is the same in every run,
+    so runs on different seeds can be compared, and the failures stay in view.
+    """
 
     name = "sweep-desk"
     SHAPE = DESK
@@ -235,8 +247,7 @@ class SweepDesk(SweepWorkload):
     BLOCK = 100
 
     def scenario_seeds(self):
-        n = 2 if self.smoke else self.BLOCK
-        return range(self.seed * self.BLOCK, self.seed * self.BLOCK + n)
+        return range(2 if self.smoke else self.BLOCK)
 
 
 class WideUnion(SweepWorkload):
@@ -257,13 +268,6 @@ class WideUnion(SweepWorkload):
     def scenario_seeds(self):
         return range(1 if self.smoke else self.BLOCK)
 
-    def generate(self) -> None:
-        super().generate()
-        random.Random(self.seed).shuffle(self.ops)
-
-    def warm_up(self) -> None:
-        self.execute(min(self.ops))
-
 
 # -- pairwise fusion ------------------------------------------------------
 
@@ -274,7 +278,7 @@ class PairwiseDense(Workload):
 
     name = "pairwise-dense"
     op_metric = "fusion_ms"
-    PAIRS = 24
+    PAIRS = 48
     # Focal-set counts cycle through this ladder, so the op times spread
     # over a range instead of six clusters, one per rule, whose boundary
     # the median would straddle.
