@@ -10,20 +10,24 @@ Subcommands::
     belieffusion rules
 
 Exit codes: 0 success, 2 parse/validation/config failure, 3 frame mismatch,
-4 Dempster total conflict. Diagnostics go to stderr, data to stdout.
+4 total conflict or degenerate combination, 5 I/O error. Each failure prints
+one ``belieffusion: <cause>`` line; diagnostics go to stderr, data to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from typing import Optional, Sequence
+import typing
+from typing import Any, Optional, Sequence
 
+from . import core, decision  # looked up per call, so wrappers installed on them apply
 from .core import FrameMismatchError, MassFunction, validate
 from .massio import MassFormatError, mass_to_dict, read_mass, write_mass
-from .rules import RULES, TotalConflictError
+from .rules import RULES, DegenerateError, TotalConflictError
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -36,11 +40,18 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FRAME_MISMATCH = 3
 EXIT_TOTAL_CONFLICT = 4
+EXIT_IO = 5
 
-
-def _fail(code: int, message: str) -> int:
-    print(f"belieffusion: {message}", file=sys.stderr)
-    return code
+# The exit code of each failure a command reports; the first matching class wins.
+EXIT_CODES: dict[type[Exception], int] = {
+    MassFormatError: EXIT_INPUT,
+    ScenarioError: EXIT_INPUT,
+    UnicodeDecodeError: EXIT_INPUT,
+    FrameMismatchError: EXIT_FRAME_MISMATCH,
+    TotalConflictError: EXIT_TOTAL_CONFLICT,
+    DegenerateError: EXIT_TOTAL_CONFLICT,
+    OSError: EXIT_IO,
+}
 
 
 def _load_closed_world(path: str) -> MassFunction:
@@ -54,17 +65,9 @@ def _load_closed_world(path: str) -> MassFunction:
 
 
 def _cmd_combine(args: argparse.Namespace) -> int:
-    try:
-        m1 = _load_closed_world(args.bba1)
-        m2 = _load_closed_world(args.bba2)
-    except MassFormatError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        fused = RULES[args.rule](m1, m2)
-    except FrameMismatchError as exc:
-        return _fail(EXIT_FRAME_MISMATCH, str(exc))
-    except TotalConflictError as exc:
-        return _fail(EXIT_TOTAL_CONFLICT, str(exc))
+    m1 = _load_closed_world(args.bba1)
+    m2 = _load_closed_world(args.bba2)
+    fused = RULES[args.rule](m1, m2)
     if args.output:
         write_mass(args.output, fused)
     else:
@@ -74,17 +77,9 @@ def _cmd_combine(args: argparse.Namespace) -> int:
 
 
 def _cmd_conflict(args: argparse.Namespace) -> int:
-    from .core import conflict
-
-    try:
-        m1 = _load_closed_world(args.bba1)
-        m2 = _load_closed_world(args.bba2)
-    except MassFormatError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    try:
-        decomposition = conflict(m1, m2)
-    except FrameMismatchError as exc:
-        return _fail(EXIT_FRAME_MISMATCH, str(exc))
+    m1 = _load_closed_world(args.bba1)
+    m2 = _load_closed_world(args.bba2)
+    decomposition = core.conflict(m1, m2)
     print(repr(decomposition.total))
     for x, y, product in decomposition.pairs:
         print(f"{x.label(m1.frame)},{y.label(m1.frame)},{product!r}")
@@ -92,19 +87,31 @@ def _cmd_conflict(args: argparse.Namespace) -> int:
 
 
 def _cmd_betp(args: argparse.Namespace) -> int:
-    from .decision import betp
-
-    try:
-        m = _load_closed_world(args.bba)
-    except MassFormatError as exc:
-        return _fail(EXIT_INPUT, str(exc))
-    p = betp(m)
+    m = _load_closed_world(args.bba)
+    p = decision.betp(m)
     for label, prob in zip(m.frame.labels, p.probs):
         print(f"{label},{prob!r}")
     return EXIT_OK
 
 
+def _typed(value: Any, hint: Any) -> Any:
+    """A JSON config value as the field type ``hint`` (int, float, str, a
+    tuple from an array, or Optional); raises TypeError on any other value.
+    A bool is not a number, and a float field also takes an integer."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Union:
+        return None if value is None else _typed(value, args[0])
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, list) and len(value) == len(args):
+            return tuple(_typed(v, a) for v, a in zip(value, args))
+    elif type(value) is hint or (hint is float and type(value) is int):
+        return hint(value)
+    raise TypeError
+
+
 def _parse_scenario_config(path: str) -> ScenarioConfig:
+    """A config file holds any ``ScenarioConfig`` fields by name; the fields
+    without a default are required."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -112,66 +119,39 @@ def _parse_scenario_config(path: str) -> ScenarioConfig:
             raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    known = {
-        "n_targets",
-        "n_emitters",
-        "emitters_per_target",
-        "truth_index",
-        "pfa",
-        "n_reports",
-        "report_mass",
-        "rule",
-        "seed",
-        "similar_target",
-    }
-    unknown = set(doc) - known
+    fields = dataclasses.fields(ScenarioConfig)
+    unknown = set(doc) - {f.name for f in fields}
     if unknown:
         raise ScenarioError(f"{path}: unknown config keys: {sorted(unknown)}")
-    try:
-        ept = doc["emitters_per_target"]
-        return ScenarioConfig(
-            n_targets=int(doc["n_targets"]),
-            n_emitters=int(doc["n_emitters"]),
-            emitters_per_target=(int(ept[0]), int(ept[1])),
-            truth_index=int(doc["truth_index"]),
-            pfa=float(doc.get("pfa", 0.3)),
-            n_reports=int(doc.get("n_reports", 25)),
-            report_mass=float(doc.get("report_mass", 0.8)),
-            rule=str(doc.get("rule", "pcr")),
-            seed=int(doc.get("seed", 0)),
-            similar_target=(
-                None if doc.get("similar_target") is None else int(doc["similar_target"])
-            ),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ScenarioError(f"{path}: bad config: {exc}") from None
+    hints = typing.get_type_hints(ScenarioConfig)
+    values = {}
+    for f in fields:
+        if f.name in doc:
+            try:
+                values[f.name] = _typed(doc[f.name], hints[f.name])
+            except TypeError:
+                raise ScenarioError(
+                    f"{path}: config key {f.name!r} must be {f.type}, not {doc[f.name]!r}"
+                ) from None
+        elif f.default is dataclasses.MISSING:
+            raise ScenarioError(f"{path}: missing config key {f.name!r}")
+    return ScenarioConfig(**values)
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    try:
-        config = _parse_scenario_config(args.config)
-        rule_list = (
-            [r.strip() for r in args.rules.split(",")] if args.rules else [config.rule]
-        )
-        for rule in rule_list:
-            if rule not in RULES:
-                raise ScenarioError(f"unknown rule {rule!r}")
-        if args.seed is not None:
-            config = ScenarioConfig(
-                **{**config.__dict__, "seed": args.seed}
-            )
-        config.check()
-    except ScenarioError as exc:
-        return _fail(EXIT_INPUT, str(exc))
+    config = _parse_scenario_config(args.config)
+    rule_list = [r.strip() for r in args.rules.split(",")] if args.rules else [config.rule]
+    for rule in rule_list:
+        if rule not in RULES:
+            raise ScenarioError(f"unknown rule {rule!r}")
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    config.check()
 
     os.makedirs(args.out, exist_ok=True)
     for rule in rule_list:
-        run_config = ScenarioConfig(**{**config.__dict__, "rule": rule})
-        try:
-            result = run_scenario(run_config)
-        except ScenarioError as exc:
-            return _fail(EXIT_INPUT, str(exc))
-        stem = os.path.join(args.out, f"trajectory_{rule}_seed{run_config.seed}")
+        result = run_scenario(dataclasses.replace(config, rule=rule))
+        stem = os.path.join(args.out, f"trajectory_{rule}_seed{config.seed}")
         write_trajectory_csv(stem + ".csv", result)
         write_metadata(stem + ".meta.json", result)
         if result.failed_at is not None:
@@ -227,7 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
+        print(f"belieffusion: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """
-Frames of discernment, focal sets, mass functions, and the two base
-combination operators (conjunctive / disjunctive) plus the degree of
-conflict that every higher-level rule builds on.
+Frames of discernment, focal sets, mass functions, and the pair pass that
+every combination rule builds on, with its three public views: the two base
+combination operators (conjunctive / disjunctive) and the degree of conflict.
 
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe for unrestricted concurrent use.
@@ -9,8 +9,9 @@ functions, so everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Optional
 
 __all__ = [
     "Frame",
@@ -71,15 +72,10 @@ class Frame:
         return FocalSet((1 << self.size) - 1, self.size)
 
     def singleton(self, index: int) -> FocalSet:
-        if not 0 <= index < self.size:
-            raise IndexError(index)
-        return FocalSet(1 << index, self.size)
+        return self.subset_of_indices([index])
 
     def subset(self, labels: Iterable[str]) -> FocalSet:
-        bits = 0
-        for label in labels:
-            bits |= 1 << self.index(label)
-        return FocalSet(bits, self.size)
+        return self.subset_of_indices(self.index(label) for label in labels)
 
     def subset_of_indices(self, indices: Iterable[int]) -> FocalSet:
         bits = 0
@@ -184,18 +180,13 @@ class MassFunction:
     def mass(self, fs: FocalSet) -> float:
         return self.entries.get(fs, 0.0)
 
-    def focal_sets(self) -> tuple[FocalSet, ...]:
-        return tuple(sorted(self.entries, key=lambda fs: fs.bits))
-
     def items(self) -> Iterator[tuple[FocalSet, float]]:
-        for fs in self.focal_sets():
+        """The stored entries in ascending bit order."""
+        for fs in sorted(self.entries, key=lambda fs: fs.bits):
             yield fs, self.entries[fs]
 
     def total(self) -> float:
         return sum(self.entries.values())
-
-    def as_labelled_dict(self) -> dict[str, float]:
-        return {fs.label(self.frame): v for fs, v in self.items()}
 
     def is_close_to(self, other: MassFunction, tol: float = SUM_TOL) -> bool:
         """Entrywise comparison over the union of stored focal sets."""
@@ -223,7 +214,9 @@ def validate(m: MassFunction, tol: float = SUM_TOL) -> ValidationReport:
     """Check the mass-function invariants, returning a report (never raising)."""
     violations: list[str] = []
     for fs, v in m.entries.items():
-        if v < 0.0:
+        if not math.isfinite(v):
+            violations.append(f"non-finite mass {v!r} on {fs.label(m.frame)}")
+        elif v < 0.0:
             violations.append(f"negative mass {v!r} on {fs.label(m.frame)}")
     total = sum(m.entries.values())
     if abs(total - 1.0) > tol:
@@ -242,46 +235,78 @@ def vacuous(frame: Frame) -> MassFunction:
     return MassFunction(frame, {frame.full_set(): 1.0})
 
 
-def _check_combinable(m1: MassFunction, m2: MassFunction) -> None:
+# A table maps an int bit mask to its summed mass.
+Table = dict[int, float]
+Pairs = list[tuple[int, int, float, float]]
+
+
+def _pair_pass(
+    m1: MassFunction, m2: MassFunction, union: bool = False
+) -> tuple[Table, Pairs, Optional[Table]]:
+    """The one pass over m1 × m2 that every combination rule builds on.
+
+    Works on raw ``int`` bit masks in storage order and returns the ∩-table
+    (k12 under key 0), the disjoint pairs ``(x, y, m1(x), m2(y))`` and, when
+    ``union`` is set, the ∪-table (otherwise ``None``).
+    """
     if m1.frame != m2.frame:
         raise FrameMismatchError("mass functions defined on different frames")
     if m1.open_world or m2.open_world:
         raise ValueError("combination inputs must be closed-world bbas")
+    right = [(y.bits, b) for y, b in m2.entries.items()]
+    meet: Table = {}
+    disjoint: Pairs = []
+    join: Optional[Table] = {} if union else None
+    for fs, a in m1.entries.items():
+        x = fs.bits
+        for y, b in right:
+            product = a * b
+            z = x & y
+            meet[z] = meet.get(z, 0.0) + product
+            if not z:
+                disjoint.append((x, y, a, b))
+            if join is not None:
+                u = x | y
+                join[u] = join.get(u, 0.0) + product
+    return meet, disjoint, join
+
+
+def _sorted_k12(disjoint: Pairs) -> float:
+    """Sort the disjoint pairs by ``(x, y)`` in place and sum k12 in that
+    order, which is the order ``conflict`` reports them in."""
+    disjoint.sort()
+    k12 = 0.0
+    for _, _, a, b in disjoint:
+        k12 += a * b
+    return k12
+
+
+def _mass(frame: Frame, table: Table, open_world: bool = False) -> MassFunction:
+    """Build a mass function from an ``int``-keyed table."""
+    width = frame.size
+    return MassFunction(
+        frame, {FocalSet(z, width): v for z, v in table.items()}, open_world
+    )
 
 
 def conjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Conjunctive combination; the output may carry mass on ∅ (open world)."""
-    _check_combinable(m1, m2)
-    out: dict[FocalSet, float] = {}
-    for x, a in m1.entries.items():
-        for y, b in m2.entries.items():
-            z = x & y
-            out[z] = out.get(z, 0.0) + a * b
-    return MassFunction(m1.frame, out, open_world=True)
+    return _mass(m1.frame, _pair_pass(m1, m2)[0], open_world=True)
 
 
 def disjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Disjunctive combination; ∪ of non-empty sets is non-empty, so the
     output is a closed-world bba."""
-    _check_combinable(m1, m2)
-    out: dict[FocalSet, float] = {}
-    for x, a in m1.entries.items():
-        for y, b in m2.entries.items():
-            z = x | y
-            out[z] = out.get(z, 0.0) + a * b
-    return MassFunction(m1.frame, out)
+    return _mass(m1.frame, _pair_pass(m1, m2, union=True)[2])
 
 
 def conflict(m1: MassFunction, m2: MassFunction) -> ConflictDecomposition:
     """The degree of conflict k12: total conjunctive mass on ∅, decomposed
     into the disjoint focal pairs that produce it."""
-    _check_combinable(m1, m2)
-    pairs: list[tuple[FocalSet, FocalSet, float]] = []
-    total = 0.0
-    for x in sorted(m1.entries, key=lambda fs: fs.bits):
-        for y in sorted(m2.entries, key=lambda fs: fs.bits):
-            if (x & y).is_empty:
-                product = m1.entries[x] * m2.entries[y]
-                pairs.append((x, y, product))
-                total += product
-    return ConflictDecomposition(total, tuple(pairs))
+    disjoint = _pair_pass(m1, m2)[1]
+    total = _sorted_k12(disjoint)
+    width = m1.frame.size
+    pairs = tuple(
+        (FocalSet(x, width), FocalSet(y, width), a * b) for x, y, a, b in disjoint
+    )
+    return ConflictDecomposition(total, pairs)

@@ -5,19 +5,27 @@ the adaptive conjunctive/disjunctive mixture (generic and symmetric), and
 proportional conflict redistribution.
 
 Every rule consumes two validated closed-world mass functions on a shared
-frame and is a pure function of its inputs.
+frame and is a pure function of its inputs. Each one is a short policy over
+a single call of the core pair pass: it reads the ∩-table (k12 under key 0),
+the disjoint pairs and, for the adaptive mixture, the ∪-table, and decides
+where the conflicting mass goes. The tables are released before the output
+mass function is built, which keeps the peak memory of a large fusion down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import (
-    ConflictDecomposition,
     FocalSet,
     FrameMismatchError,
     MassFunction,
+    Pairs,
+    Table,
+    _mass,
+    _pair_pass,
+    _sorted_k12,
     conflict,
     conjunctive,
     disjunctive,
@@ -63,18 +71,22 @@ class InvalidBetaError(ValueError):
     """A supplied mixture weighting violates its endpoint contract."""
 
 
+def _split(meet: Table) -> tuple[float, Table]:
+    """k12 and the conjunctive masses of the non-empty sets, without zero
+    masses (which a mass function would not have stored)."""
+    return meet.get(0, 0.0), {z: v for z, v in meet.items() if z and v != 0.0}
+
+
 def dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Normalized conjunctive rule: divide every non-empty conjunctive mass
     by 1 - k12. Raises TotalConflictError at k12 = 1."""
-    conj = conjunctive(m1, m2)
-    k12 = conj.mass(m1.frame.empty_set())
+    k12, out = _split(_pair_pass(m1, m2)[0])
     if 1.0 - k12 <= TOTAL_CONFLICT_TOL:
         raise TotalConflictError(
             "total conflict between sources (k12=1); Dempster's rule cannot be used"
         )
     scale = 1.0 / (1.0 - k12)
-    out = {fs: v * scale for fs, v in conj.entries.items() if not fs.is_empty}
-    return MassFunction(m1.frame, out)
+    return _mass(m1.frame, {z: v * scale for z, v in out.items()})
 
 
 def smets(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -84,26 +96,22 @@ def smets(m1: MassFunction, m2: MassFunction) -> MassFunction:
 
 def yager(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Conjunctive rule with the conflict transferred to total ignorance."""
-    conj = conjunctive(m1, m2)
-    empty = m1.frame.empty_set()
-    full = m1.frame.full_set()
-    out = {fs: v for fs, v in conj.entries.items() if not fs.is_empty}
-    k12 = conj.mass(empty)
+    k12, out = _split(_pair_pass(m1, m2)[0])
     if k12:
+        full = (1 << m1.frame.size) - 1
         out[full] = out.get(full, 0.0) + k12
-    return MassFunction(m1.frame, out)
+    return _mass(m1.frame, out)
 
 
 def dubois_prade(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Conjunctive masses plus each disjoint pair's product moved to X∪Y."""
-    conj = conjunctive(m1, m2)
-    out = {fs: v for fs, v in conj.entries.items() if not fs.is_empty}
-    for x, a in m1.entries.items():
-        for y, b in m2.entries.items():
-            if (x & y).is_empty:
-                u = x | y
-                out[u] = out.get(u, 0.0) + a * b
-    return MassFunction(m1.frame, out)
+    meet, disjoint, _ = _pair_pass(m1, m2)
+    _, out = _split(meet)
+    for x, y, a, b in disjoint:
+        u = x | y
+        out[u] = out.get(u, 0.0) + a * b
+    del meet, disjoint
+    return _mass(m1.frame, out)
 
 
 def dsmh(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -131,41 +139,32 @@ def inagaki_generic(
 ) -> MassFunction:
     """Inagaki's weighted redistribution: each non-empty A receives
     m∧(A) + w(A)·k12 for a caller-chosen unit-sum weight assignment."""
-    conj = conjunctive(m1, m2)
+    k12, out = _split(_pair_pass(m1, m2)[0])
     _check_weights(m1.frame, weights)
-    k12 = conj.mass(m1.frame.empty_set())
-    out = {fs: v for fs, v in conj.entries.items() if not fs.is_empty}
     for fs, w in weights.items():
         share = w * k12
         if share:
-            out[fs] = out.get(fs, 0.0) + share
-    return MassFunction(m1.frame, out)
+            out[fs.bits] = out.get(fs.bits, 0.0) + share
+    return _mass(m1.frame, out)
 
 
 def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """The extremal member of Inagaki's family: the conflict is distributed
     so that ratios between the masses of any two sets other than the frame
     are preserved. Θ keeps its conjunctive mass."""
-    conj = conjunctive(m1, m2)
-    empty = m1.frame.empty_set()
-    full = m1.frame.full_set()
-    k12 = conj.mass(empty)
-    receivers = {
-        fs: v for fs, v in conj.entries.items() if not fs.is_empty and fs != full
-    }
+    k12, out = _split(_pair_pass(m1, m2)[0])
     if k12 == 0.0:
-        return MassFunction(
-            m1.frame, {fs: v for fs, v in conj.entries.items() if not fs.is_empty}
-        )
-    s = sum(receivers.values())
+        return _mass(m1.frame, out)
+    full = (1 << m1.frame.size) - 1
+    theta_mass = out.pop(full, 0.0)
+    s = sum(out.values())
     if s == 0.0:
         raise DegenerateError("no focal element other than Θ can receive the conflict")
     factor = 1.0 + k12 / s
-    out = {fs: v * factor for fs, v in receivers.items()}
-    theta_mass = conj.mass(full)
+    out = {z: v * factor for z, v in out.items()}
     if theta_mass:
         out[full] = theta_mass
-    return MassFunction(m1.frame, out)
+    return _mass(m1.frame, out)
 
 
 @dataclass(frozen=True)
@@ -192,17 +191,16 @@ def sacr_coefficients(k: float) -> AcrCoefficients:
 
 
 def _acr_combine(
-    m1: MassFunction, m2: MassFunction, alpha: float, beta: float
+    m1: MassFunction, m2: MassFunction, coefficients: Callable[[float], AcrCoefficients]
 ) -> MassFunction:
-    conj = conjunctive(m1, m2)
-    disj = disjunctive(m1, m2)
-    out: dict[FocalSet, float] = {}
-    for fs, v in conj.entries.items():
-        if not fs.is_empty:
-            out[fs] = beta * v
-    for fs, v in disj.entries.items():
-        out[fs] = out.get(fs, 0.0) + alpha * v
-    return MassFunction(m1.frame, out)
+    """The mixture α·m∨ + β·m∧ with α, β = ``coefficients(k12)``."""
+    meet, disjoint, join = _pair_pass(m1, m2, union=True)
+    c = coefficients(_sorted_k12(disjoint))
+    out = {z: c.beta * v for z, v in _split(meet)[1].items()}
+    for z, v in join.items():
+        out[z] = out.get(z, 0.0) + c.alpha * v
+    del meet, disjoint, join
+    return _mass(m1.frame, out)
 
 
 def acr_generic(
@@ -213,20 +211,21 @@ def acr_generic(
     α(k) = 1 - (1-k)·β(k)."""
     if abs(beta(0.0) - 1.0) > TOTAL_CONFLICT_TOL or abs(beta(1.0)) > TOTAL_CONFLICT_TOL:
         raise InvalidBetaError("beta must satisfy beta(0)=1 and beta(1)=0")
-    k12 = conflict(m1, m2).total
-    b = beta(k12)
-    if not 0.0 <= b <= 1.0:
-        raise InvalidBetaError(f"beta({k12!r}) = {b!r} is outside [0, 1]")
-    a = 1.0 - (1.0 - k12) * b
-    return _acr_combine(m1, m2, a, b)
+
+    def coefficients(k12: float) -> AcrCoefficients:
+        b = beta(k12)
+        if not 0.0 <= b <= 1.0:
+            raise InvalidBetaError(f"beta({k12!r}) = {b!r} is outside [0, 1]")
+        return AcrCoefficients(1.0 - (1.0 - k12) * b, b, k12)
+
+    return _acr_combine(m1, m2, coefficients)
 
 
 def sacr(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Symmetric adaptive rule: the mixture with the closed-form weights
     α0, β0, which is conjunctive at zero conflict and disjunctive at total
     conflict."""
-    k12 = conflict(m1, m2).total
-    return _acr_combine(m1, m2, alpha0(k12), beta0(k12))
+    return _acr_combine(m1, m2, sacr_coefficients)
 
 
 def acr_inagaki_weights(
@@ -267,36 +266,39 @@ class ConflictShare:
     to_y: float
 
 
+def _shares(disjoint: Pairs) -> Iterator[tuple[int, int, float, float, float]]:
+    """``(x, y, product, to_x, to_y)`` per disjoint pair, in ``(x, y)``
+    order; pairs whose masses sum to zero have no ratio and are skipped."""
+    disjoint.sort()
+    for x, y, a, b in disjoint:
+        denom = a + b
+        if denom != 0.0:
+            yield x, y, a * b, a * a * b / denom, b * b * a / denom
+
+
 def pcr_shares(m1: MassFunction, m2: MassFunction) -> list[ConflictShare]:
     """All directional redistribution terms, one per ordered disjoint focal
     pair (x from the first source, y from the second)."""
-    shares: list[ConflictShare] = []
-    for x in sorted(m1.entries, key=lambda fs: fs.bits):
-        a = m1.entries[x]
-        for y in sorted(m2.entries, key=lambda fs: fs.bits):
-            if not (x & y).is_empty:
-                continue
-            b = m2.entries[y]
-            denom = a + b
-            if denom == 0.0:
-                continue
-            product = a * b
-            shares.append(ConflictShare(x, y, product, a * a * b / denom, b * b * a / denom))
-    return shares
+    width = m1.frame.size
+    return [
+        ConflictShare(FocalSet(x, width), FocalSet(y, width), product, to_x, to_y)
+        for x, y, product, to_x, to_y in _shares(_pair_pass(m1, m2)[1])
+    ]
 
 
 def pcr(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Proportional conflict redistribution: conjunctive masses plus every
     partial conflicting product returned to the two sets that generated it,
     proportionally to their individual masses."""
-    conj = conjunctive(m1, m2)
-    out = {fs: v for fs, v in conj.entries.items() if not fs.is_empty}
-    for share in pcr_shares(m1, m2):
-        if share.to_x:
-            out[share.x] = out.get(share.x, 0.0) + share.to_x
-        if share.to_y:
-            out[share.y] = out.get(share.y, 0.0) + share.to_y
-    return MassFunction(m1.frame, out)
+    meet, disjoint, _ = _pair_pass(m1, m2)
+    _, out = _split(meet)
+    for x, y, _, to_x, to_y in _shares(disjoint):
+        if to_x:
+            out[x] = out.get(x, 0.0) + to_x
+        if to_y:
+            out[y] = out.get(y, 0.0) + to_y
+    del meet, disjoint
+    return _mass(m1.frame, out)
 
 
 # Stable lowercase identifiers for the CLI and file outputs.

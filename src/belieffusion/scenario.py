@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,6 +104,8 @@ class ScenarioConfig:
             raise ScenarioError("report_mass must lie in (0, 1]")
         if self.rule not in RULES:
             raise ScenarioError(f"unknown rule {self.rule!r}")
+        if self.seed < 0:
+            raise ScenarioError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -169,14 +171,10 @@ def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatab
 
     x = frozenset(sets[truth])
 
-    def shared_y() -> set[int]:
-        pool: set[int] = set()
-        for i, s in enumerate(sets):
-            if i != truth and s & x:
-                pool |= s - x
-        return pool
-
-    y = shared_y()
+    y: set[int] = set()
+    for i, s in enumerate(sets):
+        if i != truth and s & x:
+            y |= s - x
     if not y:
         raise ScenarioError("false-alarm pool is empty")
 
@@ -319,21 +317,9 @@ def write_trajectory_csv(path: str, result: ScenarioResult) -> None:
 
 
 def write_metadata(path: str, result: ScenarioResult) -> None:
-    cfg = result.config
-    doc = {
-        "n_targets": cfg.n_targets,
-        "n_emitters": cfg.n_emitters,
-        "emitters_per_target": list(cfg.emitters_per_target),
-        "truth_index": cfg.truth_index,
-        "pfa": cfg.pfa,
-        "n_reports": cfg.n_reports,
-        "report_mass": cfg.report_mass,
-        "rule": cfg.rule,
-        "seed": cfg.seed,
-        "similar_target": cfg.similar_target,
-        "rng_algorithm": RNG_ALGORITHM,
-        "failed_at": result.failed_at,
-    }
+    """The config, field by field, plus the RNG algorithm and ``failed_at``."""
+    doc = asdict(result.config)
+    doc.update(rng_algorithm=RNG_ALGORITHM, failed_at=result.failed_at)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

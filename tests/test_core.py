@@ -106,6 +106,13 @@ class TestValidate:
         report = validate(m)
         assert not report.ok
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mass(self, bad):
+        m = MassFunction(FRAME_AB, {FRAME_AB.subset(["A"]): bad})
+        report = validate(m)
+        assert not report.ok
+        assert any("non-finite" in v for v in report.violations)
+
     def test_zero_masses_never_stored(self):
         m = MassFunction(FRAME_AB, {FRAME_AB.subset(["A"]): 1.0, FRAME_AB.subset(["B"]): 0.0})
         assert FRAME_AB.subset(["B"]) not in m.entries

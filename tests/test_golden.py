@@ -1,0 +1,63 @@
+"""Golden outputs: SHA-256 digests of trajectory files recorded before the
+combination rules were rebuilt on the single pair pass.
+
+Any change to a rule's arithmetic, to the order in which it sums k12 or
+redistributes conflicting mass, or to the insertion order of its output
+(which ``betp`` and the next fold step sum in) changes these bytes. A change
+that is meant to alter the trajectories must say so and re-record them.
+
+The acceptance-gate shape covers every closed-world rule. The two 135-target
+runs are the ones among seeds 0-9 whose bytes depend on the summation
+order: sacr seed 4 changes if k12 is read from the ∩-table instead of being
+summed over the sorted disjoint pairs, and dubois-prade seed 9 changes if the
+disjoint pairs are visited sorted instead of in storage order.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from belieffusion import ScenarioConfig, run_scenario
+from belieffusion.scenario import write_metadata, write_trajectory_csv
+
+DESK = dict(n_targets=20, n_emitters=35, emitters_per_target=(5, 9), truth_index=4,
+            similar_target=5, pfa=0.3, n_reports=25, report_mass=0.8, seed=0)
+WIDE = dict(DESK, n_targets=135, n_emitters=200, n_reports=10)
+
+TRAJECTORIES = [
+    ("dempster", DESK, "bba02ebca1db81fe45c2d5c87053181ff0c4dc07a4101dc024b8f537cf07c6d1"),
+    ("yager", DESK, "9523a46b0c3c789be699fcaedf78f6d3f9491e04427fdb8a0a6306c8ec8f3bbf"),
+    ("dubois-prade", DESK, "409f843cd153f50ebe95f849c3f5793f6e322afc8641ad9f60896e7ccfafad17"),
+    ("inagaki", DESK, "c026a84889b2d6a250c80649f26144b7912e9983886c028db96c82cd940d10ff"),
+    ("sacr", DESK, "4e5af8c5343ff1062886f1cc1dc338d8744846a64fb00cad6b76765bd8b19f7b"),
+    ("pcr", DESK, "c6e74bda9eff754ddb07c60034f7961eb858a5f91414e3a118c68959a6b9b619"),
+    ("sacr", dict(WIDE, seed=4),
+     "55930e6ec0f05b851de9f47dbb557f1f17e8e2e3f5ecd719116acab58c649968"),
+    ("dubois-prade", dict(WIDE, seed=9),
+     "82a0bbd44ac26a9dcdda470d6794a3795224cb43db31b3021147f4c97de97299"),
+]
+
+METADATA_SHA256 = "57e63079bdd55c56f3608c36408e0640221e910aac7ead307fdf6d65e233d986"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "rule,shape,digest",
+    TRAJECTORIES,
+    ids=[f"{rule}-{shape['n_targets']}-seed{shape['seed']}" for rule, shape, _ in TRAJECTORIES],
+)
+def test_trajectory_bytes(tmp_path, rule, shape, digest):
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(str(path), run_scenario(ScenarioConfig(rule=rule, **shape)))
+    assert _sha256(path) == digest
+
+
+def test_metadata_bytes(tmp_path):
+    path = tmp_path / "trajectory.meta.json"
+    write_metadata(str(path), run_scenario(ScenarioConfig(rule="dempster", **DESK)))
+    assert _sha256(path) == METADATA_SHA256

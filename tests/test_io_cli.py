@@ -63,6 +63,16 @@ class TestMassFormat:
             read_mass(str(path))
 
 
+SMALL_CONFIG = {
+    "n_targets": 8,
+    "n_emitters": 16,
+    "emitters_per_target": [2, 4],
+    "truth_index": 2,
+    "similar_target": 3,
+    "n_reports": 3,
+}
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "belieffusion", *args],
@@ -133,6 +143,41 @@ class TestCli:
         result = run_cli("combine", "--rule", "dempster", str(p1), str(p2))
         assert result.returncode == 4
         assert "cannot be used" in result.stderr
+
+    def test_combine_degenerate_exit_4(self, tmp_path):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        write_mass(str(p1), bba(FRAME_AB, {"A": 1.0}))
+        write_mass(str(p2), bba(FRAME_AB, {"B": 1.0}))
+        result = run_cli("combine", "--rule", "inagaki", str(p1), str(p2))
+        assert result.returncode == 4
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+    def test_missing_input_exit_5(self, tmp_path):
+        result = run_cli("betp", str(tmp_path / "missing.json"))
+        assert result.returncode == 5
+        assert result.stderr.startswith("belieffusion: ") and "missing.json" in result.stderr
+
+    def test_unwritable_output_exit_5(self, tmp_path, example_files):
+        out = tmp_path / "no" / "such" / "dir" / "x.json"
+        result = run_cli("combine", "--rule", "pcr", *example_files, "-o", str(out))
+        assert result.returncode == 5
+        assert "Traceback" not in result.stderr
+
+    def test_non_finite_mass_exit_2(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"frame": ["A", "B"], "masses": [{"set": ["A"], "mass": NaN}]}',
+                        encoding="utf-8")
+        result = run_cli("betp", str(path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "non-finite" in result.stderr
+
+    def test_non_utf8_input_exit_2(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\x89\xff")
+        result = run_cli("betp", str(path))
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
     def test_conflict_output(self, example_files):
         result = run_cli("conflict", *example_files)
@@ -220,3 +265,48 @@ class TestCli:
         cfg.write_text(json.dumps(config), encoding="utf-8")
         result = run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert result.returncode == 2
+
+    def test_scenario_missing_config_exit_5(self, tmp_path):
+        result = run_cli("scenario", "--config", str(tmp_path / "nocfg.json"),
+                         "--out", str(tmp_path / "o"))
+        assert result.returncode == 5
+        assert "nocfg.json" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_scenario_negative_seed_exit_2(self, tmp_path, where):
+        config = dict(SMALL_CONFIG, seed=-1 if where == "config" else 0)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        extra = ("--seed", "-1") if where == "flag" else ()
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra)
+        assert result.returncode == 2
+        assert "seed" in result.stderr and "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n_targets", 20.7), ("seed", True), ("pfa", "0.3"), ("emitters_per_target", [2]),
+         ("similar_target", 3.0)],
+    )
+    def test_scenario_wrong_typed_value_exit_2(self, tmp_path, key, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(SMALL_CONFIG, **{key: value})), encoding="utf-8")
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert repr(key) in result.stderr
+
+    def test_scenario_missing_key_exit_2(self, tmp_path):
+        config = {k: v for k, v in SMALL_CONFIG.items() if k != "truth_index"}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert "truth_index" in result.stderr
+
+    def test_scenario_integer_for_float_field(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(SMALL_CONFIG, pfa=0, report_mass=1)), encoding="utf-8")
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 0, result.stderr
+        meta = json.loads((tmp_path / "o" / "trajectory_pcr_seed0.meta.json").read_text())
+        assert meta["pfa"] == 0.0 and isinstance(meta["pfa"], float)
+        assert meta["report_mass"] == 1.0 and isinstance(meta["report_mass"], float)

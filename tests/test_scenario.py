@@ -86,6 +86,10 @@ class TestBuildPdb:
         with pytest.raises(ScenarioError):
             make_config(similar_target=3).check()
 
+    def test_negative_seed(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            make_config(seed=-1).check()
+
 
 class TestGenReport:
     def test_x_reports_contain_truth(self):
