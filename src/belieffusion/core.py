@@ -135,13 +135,12 @@ class FocalSet:
         return bool(self.bits >> index & 1)
 
     def indices(self) -> Iterator[int]:
+        """Member indices in ascending order, visiting set bits only."""
         bits = self.bits
-        i = 0
         while bits:
-            if bits & 1:
-                yield i
-            bits >>= 1
-            i += 1
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
 
     def members(self, frame: Frame) -> tuple[str, ...]:
         if frame.size != self.width:
@@ -279,6 +278,12 @@ def _sorted_k12(disjoint: Pairs) -> float:
     for _, _, a, b in disjoint:
         k12 += a * b
     return k12
+
+
+def _k12(m1: MassFunction, m2: MassFunction) -> float:
+    """``conflict(m1, m2).total`` without building the pair tuple: the same
+    pass and the same ``(x, y)`` summation order, so the same bits."""
+    return _sorted_k12(_pair_pass(m1, m2)[1])
 
 
 def _mass(frame: Frame, table: Table, open_world: bool = False) -> MassFunction:

@@ -88,7 +88,10 @@ def read_mass(path: str) -> MassFunction:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MassFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    return mass_from_dict(doc)
+    try:
+        return mass_from_dict(doc)
+    except MassFormatError as exc:
+        raise MassFormatError(f"{path}: {exc}") from None
 
 
 def write_mass(path: str, m: MassFunction) -> None:

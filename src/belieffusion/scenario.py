@@ -22,7 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FocalSet, Frame, MassFunction, conflict, make_frame, vacuous
+# The fold reads k12 through core._k12; conflict stays bound here only
+# because perfbench's traced run patches scenario.conflict.
+from .core import FocalSet, Frame, MassFunction, _k12, conflict, make_frame, vacuous
 from .decision import betp, decide
 from .rules import RULES, TotalConflictError
 
@@ -265,7 +267,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     failed_at: Optional[int] = None
     for step, (emitter, report_set) in enumerate(reports, start=1):
         rb = report_bba(report_set, pdb.frame, config.report_mass)
-        k12 = conflict(state, rb).total
+        k12 = _k12(state, rb)
         try:
             state = rule_fn(state, rb)
         except TotalConflictError:

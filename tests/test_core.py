@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,16 @@ class TestFocalSet:
         assert s.cardinality == 3
         assert s.contains(134)
         assert (s & f.singleton(64)) == f.singleton(64)
+
+    def test_indices_of_top_bit_only(self):
+        assert list(FocalSet(1 << 134, 135).indices()) == [134]
+
+    @pytest.mark.parametrize("width", [1, 8, 64, 65, 135])
+    def test_indices_ascending(self, width):
+        rng = random.Random(width)
+        for bits in [(1 << width) - 1, rng.getrandbits(width), rng.getrandbits(width)]:
+            expected = [i for i in range(width) if bits >> i & 1]
+            assert list(FocalSet(bits, width).indices()) == expected
 
     def test_width_mismatch(self):
         with pytest.raises(FrameMismatchError):

@@ -1,8 +1,12 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belieffusion import (
+    FocalSet,
     MassFunction,
     betp,
     conjunctive,
@@ -41,6 +45,63 @@ class TestBetp:
     def test_mass_conservation(self):
         p = betp(pcr(*ZADEH))
         assert sum(p.probs) == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_betp(m):
+    """The pignistic loop the vectorised ``betp`` must reproduce bit for bit:
+    each share added to its members in ``entries`` order."""
+    probs = [0.0] * m.frame.size
+    for fs, v in m.entries.items():
+        card = fs.cardinality
+        for i in range(fs.width):
+            if fs.bits >> i & 1:
+                probs[i] += v / card
+    return tuple(probs)
+
+
+def random_wide_bba(width, count, seed):
+    """``count`` distinct focal sets (capped at the 2**width - 1 non-empty
+    ones), half dense and half sparse, with masses spread over six decades."""
+    rng = random.Random(seed)
+    count = min(count, 2**width - 1)
+    masks = {}
+    while len(masks) < count:
+        bits = rng.getrandbits(width)
+        if rng.random() < 0.5:
+            bits &= rng.getrandbits(width) & rng.getrandbits(width)
+        if bits:
+            masks[bits] = rng.random() * 10 ** rng.uniform(-6, 0)
+    total = sum(masks.values())
+    frame = make_frame([f"h{i}" for i in range(width)])
+    return MassFunction(frame, {FocalSet(b, width): v / total for b, v in masks.items()})
+
+
+class TestBetpExact:
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 65, 135, 200])
+    def test_matches_reference_loop(self, width, count):
+        m = random_wide_bba(width, count, seed=width * 1000 + count)
+        assert betp(m).probs == reference_betp(m)
+
+    def test_inf_mass_reaches_only_its_members(self):
+        m = random_wide_bba(135, 300, seed=7)
+        entries = dict(m.entries)
+        poisoned = list(entries)[260]
+        entries[poisoned] = math.inf
+        m = MassFunction(m.frame, entries)
+        probs = betp(m).probs
+        assert probs == reference_betp(m)
+        members = set(poisoned.indices())
+        assert members
+        for i, v in enumerate(probs):
+            assert math.isinf(v) == (i in members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_and_bbas(count=1))
+def test_betp_exact_small_frames(data):
+    _, (m,) = data
+    assert betp(m).probs == reference_betp(m)
 
 
 class TestDecide:

@@ -121,6 +121,21 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr
 
+    @pytest.mark.parametrize(
+        "doc,cause",
+        [
+            ({"masses": []}, "missing field: 'frame'"),
+            ({"frame": ["A", "B"], "masses": [{"set": ["C"], "mass": 1.0}]},
+             "masses[0]: label not in frame: 'C'"),
+        ],
+    )
+    def test_format_error_names_file(self, tmp_path, doc, cause):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        result = run_cli("betp", str(bad))
+        assert result.returncode == 2
+        assert result.stderr == f"belieffusion: {bad}: {cause}\n"
+
     def test_combine_invalid_bba_exit_2(self, tmp_path, example_files):
         bad = tmp_path / "deficit.json"
         bad.write_text(

@@ -213,6 +213,23 @@ class TestRunScenario:
             assert record.conflict_k12 == conflict(state, rb).total
             state = RULES[cfg.rule](state, rb)
 
+    @pytest.mark.parametrize(
+        "rule", ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr"]
+    )
+    def test_recorded_conflict_matches_refold_wide(self, rule):
+        # The fold reads k12 through a private helper rather than conflict();
+        # on 135 targets k12 sums many disjoint pairs, so a different
+        # summation order would show in the last bits.
+        cfg = make_config(n_targets=135, n_emitters=200, emitters_per_target=(5, 9),
+                          truth_index=4, similar_target=5, rule=rule, seed=4)
+        result = run_scenario(cfg)
+        assert len(result.records) >= 10
+        state = vacuous(result.pdb.frame)
+        for record, (emitter, report_set) in zip(result.records, result.reports):
+            rb = report_bba(report_set, result.pdb.frame, cfg.report_mass)
+            assert record.conflict_k12 == conflict(state, rb).total
+            state = RULES[rule](state, rb)
+
     def test_smets_rejected(self):
         with pytest.raises(ScenarioError, match="smets"):
             run_scenario(make_config(rule="smets"))
