@@ -9,9 +9,11 @@ Subcommands::
     belieffusion scenario --config <file> --out <dir> [--rules <csv>] [--seed <u64>]
     belieffusion rules
 
-Exit codes: 0 success, 2 parse/validation/config failure, 3 frame mismatch,
-4 total conflict or degenerate combination, 5 I/O error. Each failure prints
-one ``belieffusion: <cause>`` line; diagnostics go to stderr, data to stdout.
+Exit codes: 0 success, 2 parse/validation/config failure (``scenario``
+checks every run, ``smets`` included, before it writes anything), 3 frame
+mismatch, 4 total conflict or degenerate combination, 5 I/O error. Each
+failure prints one ``belieffusion: <cause>`` line; diagnostics go to stderr,
+data to stdout.
 """
 
 from __future__ import annotations
@@ -140,23 +142,22 @@ def _parse_scenario_config(path: str) -> ScenarioConfig:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     config = _parse_scenario_config(args.config)
-    rule_list = [r.strip() for r in args.rules.split(",")] if args.rules else [config.rule]
-    for rule in rule_list:
-        if rule not in RULES:
-            raise ScenarioError(f"unknown rule {rule!r}")
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    config.check()
+    rule_list = [r.strip() for r in args.rules.split(",")] if args.rules else [config.rule]
+    runs = [dataclasses.replace(config, rule=rule) for rule in rule_list]
+    for c in [config, *runs]:
+        c.check()
 
     os.makedirs(args.out, exist_ok=True)
-    for rule in rule_list:
-        result = run_scenario(dataclasses.replace(config, rule=rule))
-        stem = os.path.join(args.out, f"trajectory_{rule}_seed{config.seed}")
+    for run in runs:
+        result = run_scenario(run)
+        stem = os.path.join(args.out, f"trajectory_{run.rule}_seed{run.seed}")
         write_trajectory_csv(stem + ".csv", result)
         write_metadata(stem + ".meta.json", result)
         if result.failed_at is not None:
             print(
-                f"belieffusion: rule {rule!r} hit total conflict at step "
+                f"belieffusion: rule {run.rule!r} hit total conflict at step "
                 f"{result.failed_at}; trajectory truncated",
                 file=sys.stderr,
             )

@@ -57,7 +57,12 @@ def betp(m: MassFunction) -> PignisticDistribution:
         b"".join(fs.bits.to_bytes(nbytes, "little") for fs in m.entries),
         dtype=np.uint8,
     ).reshape(len(m.entries), nbytes)
-    shares = np.array([v / fs.bits.bit_count() for fs, v in m.entries.items()])
+    try:
+        shares = np.array([v / fs.bits.bit_count() for fs, v in m.entries.items()])
+    except ZeroDivisionError:
+        raise ValueError(
+            "closed-world bba carries mass on ∅, which has no pignistic home"
+        ) from None
     acc = np.zeros(n)
     for start in range(0, len(shares), _BETP_BLOCK):
         block = slice(start, start + _BETP_BLOCK)

@@ -55,7 +55,9 @@ def mass_from_dict(doc: Any) -> MassFunction:
         frame = make_frame(labels)
     except ValueError as exc:
         raise MassFormatError(str(exc)) from None
-    open_world = bool(doc.get("open_world", False))
+    open_world = doc.get("open_world", False)
+    if not isinstance(open_world, bool):
+        raise MassFormatError("'open_world' must be true or false")
     entries: dict[FocalSet, float] = {}
     if not isinstance(masses, list):
         raise MassFormatError("'masses' must be an array")

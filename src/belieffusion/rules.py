@@ -114,10 +114,8 @@ def dubois_prade(m1: MassFunction, m2: MassFunction) -> MassFunction:
     return _mass(m1.frame, out)
 
 
-def dsmh(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Static two-source fusion on an exclusive frame coincides with
-    Dubois & Prade's rule; exposed under its own name for completeness."""
-    return dubois_prade(m1, m2)
+# Static two-source DSmH on an exclusive frame coincides with Dubois & Prade's rule.
+dsmh = dubois_prade
 
 
 def _check_weights(frame, weights: Mapping[FocalSet, float]) -> None:

@@ -98,6 +98,10 @@ class ScenarioConfig:
                     "similar_target needs the truth to own at least 2 emitters; "
                     "raise emitters_per_target's lower bound to 2"
                 )
+        if self.n_targets < 2 + (self.similar_target is not None):
+            raise ScenarioError(
+                "false-alarm pool is empty: no target besides the truth and the similar one"
+            )
         if not 0.0 <= self.pfa <= 1.0:
             raise ScenarioError("pfa must lie in [0, 1]")
         if self.n_reports < 0:
@@ -106,6 +110,10 @@ class ScenarioConfig:
             raise ScenarioError("report_mass must lie in (0, 1]")
         if self.rule not in RULES:
             raise ScenarioError(f"unknown rule {self.rule!r}")
+        if self.rule == "smets":
+            raise ScenarioError(
+                "smets produces open-world states that cannot be re-fused or pignistified"
+            )
         if self.seed < 0:
             raise ScenarioError("seed must be non-negative")
 
@@ -147,52 +155,39 @@ def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatab
 
     Because every other target carries the common emitter, every target
     shares hardware with the truth and the false-alarm pool Y is exactly the
-    non-X pool.
+    non-X pool: X is ``range(lo)`` and Y is ``range(lo, n_emitters)``.
+    ``check`` guarantees a non-truth, non-similar target, so Y is non-empty
+    and every target owns an emitter.
     """
     config.check()
     lo, hi = config.emitters_per_target
     n = config.n_targets
-    truth = config.truth_index
-    sets: list[set[int]] = [set() for _ in range(n)]
-    x_list = list(range(lo))
+    truth, similar = config.truth_index, config.similar_target
+    x = range(lo)
     common = int(rng.integers(lo))
-    sets[truth] = set(x_list)
-    if config.similar_target is not None:
-        sets[config.similar_target] = set(x_list) - {common}
-    for t in range(n):
-        if t not in (truth, config.similar_target):
-            sets[t].add(common)
+    sets: list[set[int]] = [{common} for _ in range(n)]
+    sets[truth] = set(x)
+    if similar is not None:
+        sets[similar] = set(x) - {common}
 
-    others = [t for t in range(n) if t not in (truth, config.similar_target)]
-    if others:
-        breadth = min(hi, len(others))
-        order = itertools.cycle(int(t) for t in rng.permutation(others))
-        for e in range(lo, config.n_emitters):
-            for _ in range(breadth):
-                sets[next(order)].add(e)
-
-    x = frozenset(sets[truth])
-
-    y: set[int] = set()
-    for i, s in enumerate(sets):
-        if i != truth and s & x:
-            y |= s - x
-    if not y:
-        raise ScenarioError("false-alarm pool is empty")
+    others = [t for t in range(n) if t not in (truth, similar)]
+    breadth = min(hi, len(others))
+    order = itertools.cycle(int(t) for t in rng.permutation(others))
+    for e in range(lo, config.n_emitters):
+        for _ in range(breadth):
+            sets[next(order)].add(e)
 
     emitter_sets = tuple(frozenset(s) for s in sets)
     index: dict[int, set[int]] = {}
     for i, s in enumerate(emitter_sets):
-        if not s:
-            raise ScenarioError(f"target {i} owns no emitter")
         for e in s:
             index.setdefault(e, set()).add(i)
     return PlatformDatabase(
         frame=make_frame(_target_labels(n)),
         emitter_sets=emitter_sets,
         emitter_index={e: frozenset(t) for e, t in index.items()},
-        x_emitters=tuple(sorted(x)),
-        y_emitters=tuple(sorted(y)),
+        x_emitters=tuple(x),
+        y_emitters=tuple(range(lo, config.n_emitters)),
     )
 
 
@@ -253,10 +248,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     rule's limit of applicability is a legitimate measurement.
     """
     config.check()
-    if config.rule == "smets":
-        raise ScenarioError(
-            "smets produces open-world states that cannot be re-fused or pignistified"
-        )
     rng = np.random.Generator(np.random.PCG64(config.seed))
     pdb = build_pdb(config, rng)
     reports = tuple(gen_report(pdb, config, rng) for _ in range(config.n_reports))

@@ -42,6 +42,11 @@ class TestBetp:
         with pytest.raises(ValueError, match="closed-world"):
             betp(conjunctive(*EX1))
 
+    def test_mass_on_empty_set_named(self):
+        m = MassFunction(FRAME_AB, {FRAME_AB.empty_set(): 0.5, FRAME_AB.full_set(): 0.5})
+        with pytest.raises(ValueError, match="mass on ∅"):
+            betp(m)
+
     def test_mass_conservation(self):
         p = betp(pcr(*ZADEH))
         assert sum(p.probs) == pytest.approx(1.0, abs=1e-9)

@@ -127,6 +127,8 @@ class TestCli:
             ({"masses": []}, "missing field: 'frame'"),
             ({"frame": ["A", "B"], "masses": [{"set": ["C"], "mass": 1.0}]},
              "masses[0]: label not in frame: 'C'"),
+            ({"frame": ["A"], "masses": [{"set": ["A"], "mass": 1.0}], "open_world": "false"},
+             "'open_world' must be true or false"),
         ],
     )
     def test_format_error_names_file(self, tmp_path, doc, cause):
@@ -269,17 +271,26 @@ class TestCli:
         content = (tmp_path / "o" / "trajectory_pcr_seed7.csv").read_text()
         assert content.strip() == "step,rule,emitter,set_size,k12,betp_truth,betp_similar,decided,tie"
 
-    def test_scenario_infeasible_config_exit_2(self, tmp_path):
-        config = {
-            "n_targets": 8,
-            "n_emitters": 2,
-            "emitters_per_target": [2, 4],
-            "truth_index": 2,
-        }
+    @pytest.mark.parametrize(
+        "overrides,extra",
+        [
+            ({"n_emitters": 2}, ()),
+            ({}, ("--rules", "pcr,smets")),
+            ({"rule": "smets"}, ()),
+            ({"n_targets": 1, "truth_index": 0, "similar_target": None}, ()),
+            ({"n_targets": 2, "truth_index": 0, "similar_target": 1}, ()),
+        ],
+        ids=["pool-too-small", "rules-smets", "config-smets", "one-target", "no-other-target"],
+    )
+    def test_scenario_infeasible_config_exit_2(self, tmp_path, overrides, extra):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config), encoding="utf-8")
-        result = run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        cfg.write_text(json.dumps(dict(SMALL_CONFIG, **overrides)), encoding="utf-8")
+        out = tmp_path / "o"
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(out), *extra)
         assert result.returncode == 2
+        assert result.stderr.startswith("belieffusion: ")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_scenario_missing_config_exit_5(self, tmp_path):
         result = run_cli("scenario", "--config", str(tmp_path / "nocfg.json"),

@@ -105,6 +105,7 @@ class TestDuboisPrade:
         assert dubois_prade(EX1[0], vacuous(FRAME_AB)).is_close_to(EX1[0], tol=1e-12)
 
     def test_dsmh_is_an_exact_alias(self):
+        assert dsmh is dubois_prade
         for pair in (EX1, EX2, EX3, ZADEH):
             assert labelled(dsmh(*pair)) == labelled(dubois_prade(*pair))
 

@@ -78,6 +78,51 @@ class TestBuildPdb:
         with pytest.raises(ScenarioError, match="pool"):
             make_config(n_emitters=2).check()
 
+    def test_smets_rejected_by_check(self):
+        with pytest.raises(ScenarioError, match="smets"):
+            make_config(rule="smets").check()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(n_targets=1, truth_index=0, similar_target=None),
+            dict(n_targets=2, truth_index=0, similar_target=1),
+        ],
+    )
+    def test_no_false_alarm_target(self, overrides):
+        # No target besides the truth and the similar one can own Y.
+        with pytest.raises(ScenarioError, match="pool"):
+            make_config(**overrides).check()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(n_targets=2, n_emitters=2, emitters_per_target=(1, 1), truth_index=1,
+                 similar_target=None),
+            dict(n_targets=3, n_emitters=3, emitters_per_target=(2, 2), truth_index=2,
+                 similar_target=0),
+            dict(n_targets=20, n_emitters=35, emitters_per_target=(5, 9), truth_index=4,
+                 similar_target=5),
+            dict(n_targets=40, n_emitters=60, emitters_per_target=(3, 40), truth_index=0,
+                 similar_target=None),
+        ],
+    )
+    def test_pools_match_definition(self, overrides):
+        # Reference: X is the truth's set; Y is every emitter of a target that
+        # shares hardware with the truth, minus X.
+        cfg = make_config(**overrides)
+        for seed in range(50):
+            pdb = build_pdb(cfg, fresh_rng(seed))
+            x = pdb.emitter_sets[cfg.truth_index]
+            y: set[int] = set()
+            for i, s in enumerate(pdb.emitter_sets):
+                if i != cfg.truth_index and s & x:
+                    y |= s - x
+            assert pdb.x_emitters == tuple(sorted(x))
+            assert pdb.y_emitters == tuple(sorted(y))
+            assert all(pdb.emitter_sets)
+
     def test_similar_needs_two_emitters(self):
         with pytest.raises(ScenarioError, match="2 emitters"):
             make_config(emitters_per_target=(1, 4)).check()
@@ -233,6 +278,10 @@ class TestRunScenario:
     def test_smets_rejected(self):
         with pytest.raises(ScenarioError, match="smets"):
             run_scenario(make_config(rule="smets"))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="seed"):
+            run_scenario(make_config(seed=-1))
 
     def test_dempster_total_conflict_truncates(self):
         # Categorical reports make the first contradictory report fatal.
