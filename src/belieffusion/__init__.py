@@ -19,7 +19,6 @@ from .core import (
 from .decision import Decision, PignisticDistribution, betp, decide
 from .rules import (
     RULES,
-    AcrCoefficients,
     DegenerateError,
     InvalidBetaError,
     TotalConflictError,
@@ -35,7 +34,6 @@ from .rules import (
     pcr,
     pcr_shares,
     sacr,
-    sacr_coefficients,
     smets,
     yager,
 )

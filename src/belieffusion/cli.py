@@ -10,10 +10,10 @@ Subcommands::
     belieffusion rules
 
 Exit codes: 0 success, 2 parse/validation/config failure (``scenario``
-checks every run, ``smets`` included, before it writes anything), 3 frame
-mismatch, 4 total conflict or degenerate combination, 5 I/O error. Each
-failure prints one ``belieffusion: <cause>`` line; diagnostics go to stderr,
-data to stdout.
+checks every run, ``smets`` and a repeated ``--rules`` entry included, before
+it writes anything), 3 frame mismatch, 4 total conflict or degenerate
+combination, 5 I/O error. Each failure prints one ``belieffusion: <cause>``
+line; diagnostics go to stderr, data to stdout.
 """
 
 from __future__ import annotations
@@ -145,6 +145,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     rule_list = [r.strip() for r in args.rules.split(",")] if args.rules else [config.rule]
+    if len(set(rule_list)) < len(rule_list):
+        raise ScenarioError(f"--rules lists a rule more than once: {args.rules!r}")
     runs = [dataclasses.replace(config, rule=rule) for rule in rule_list]
     for c in [config, *runs]:
         c.check()

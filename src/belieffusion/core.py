@@ -10,7 +10,8 @@ functions, so everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
 __all__ = [
@@ -203,10 +204,19 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ConflictDecomposition:
-    """Total conflict k12 and the disjoint focal pairs producing it."""
+    """Total conflict k12 and the disjoint focal pairs producing it; ``pairs``
+    is built on first read, so reading only ``total`` costs the pass alone."""
 
     total: float
-    pairs: tuple[tuple[FocalSet, FocalSet, float], ...]
+    width: int = field(repr=False)
+    disjoint: tuple[tuple[int, int, float, float], ...] = field(repr=False)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[FocalSet, FocalSet, float], ...]:
+        return tuple(
+            (FocalSet(x, self.width), FocalSet(y, self.width), a * b)
+            for x, y, a, b in self.disjoint
+        )
 
 
 def validate(m: MassFunction, tol: float = SUM_TOL) -> ValidationReport:
@@ -280,12 +290,6 @@ def _sorted_k12(disjoint: Pairs) -> float:
     return k12
 
 
-def _k12(m1: MassFunction, m2: MassFunction) -> float:
-    """``conflict(m1, m2).total`` without building the pair tuple: the same
-    pass and the same ``(x, y)`` summation order, so the same bits."""
-    return _sorted_k12(_pair_pass(m1, m2)[1])
-
-
 def _mass(frame: Frame, table: Table, open_world: bool = False) -> MassFunction:
     """Build a mass function from an ``int``-keyed table."""
     width = frame.size
@@ -310,8 +314,4 @@ def conflict(m1: MassFunction, m2: MassFunction) -> ConflictDecomposition:
     into the disjoint focal pairs that produce it."""
     disjoint = _pair_pass(m1, m2)[1]
     total = _sorted_k12(disjoint)
-    width = m1.frame.size
-    pairs = tuple(
-        (FocalSet(x, width), FocalSet(y, width), a * b) for x, y, a, b in disjoint
-    )
-    return ConflictDecomposition(total, pairs)
+    return ConflictDecomposition(total, m1.frame.size, tuple(disjoint))

@@ -35,10 +35,8 @@ __all__ = [
     "TotalConflictError",
     "DegenerateError",
     "InvalidBetaError",
-    "AcrCoefficients",
     "alpha0",
     "beta0",
-    "sacr_coefficients",
     "dempster",
     "smets",
     "yager",
@@ -78,20 +76,19 @@ def _split(meet: Table) -> tuple[float, Table]:
 
 
 def dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Normalized conjunctive rule: divide every non-empty conjunctive mass
-    by 1 - k12. Raises TotalConflictError at k12 = 1."""
-    k12, out = _split(_pair_pass(m1, m2)[0])
-    if 1.0 - k12 <= TOTAL_CONFLICT_TOL:
+    """Normalized conjunctive rule: divide each non-empty conjunctive mass by
+    their sum (1 - k12, free of input drift). Raises TotalConflictError at k12 = 1."""
+    out = _split(_pair_pass(m1, m2)[0])[1]
+    norm = sum(out.values())
+    if norm <= TOTAL_CONFLICT_TOL:
         raise TotalConflictError(
             "total conflict between sources (k12=1); Dempster's rule cannot be used"
         )
-    scale = 1.0 / (1.0 - k12)
-    return _mass(m1.frame, {z: v * scale for z, v in out.items()})
+    return _mass(m1.frame, {z: v / norm for z, v in out.items()})
 
 
-def smets(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Unnormalized conjunctive rule: the conflict stays on ∅ (open world)."""
-    return conjunctive(m1, m2)
+# Smets' unnormalized rule is the conjunctive operator: the conflict stays on ∅.
+smets = conjunctive
 
 
 def yager(m1: MassFunction, m2: MassFunction) -> MassFunction:
@@ -165,15 +162,6 @@ def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> MassFunction:
     return _mass(m1.frame, out)
 
 
-@dataclass(frozen=True)
-class AcrCoefficients:
-    """Mixture weights of the adaptive rule, evaluated at one conflict level."""
-
-    alpha: float
-    beta: float
-    conflict: float
-
-
 def alpha0(k: float) -> float:
     """Disjunctive weight of the symmetric adaptive rule: k / (1 - k + k²)."""
     return k / (1.0 - k + k * k)
@@ -184,19 +172,15 @@ def beta0(k: float) -> float:
     return (1.0 - k) / (1.0 - k + k * k)
 
 
-def sacr_coefficients(k: float) -> AcrCoefficients:
-    return AcrCoefficients(alpha0(k), beta0(k), k)
-
-
 def _acr_combine(
-    m1: MassFunction, m2: MassFunction, coefficients: Callable[[float], AcrCoefficients]
+    m1: MassFunction, m2: MassFunction, mix: Callable[[float], tuple[float, float]]
 ) -> MassFunction:
-    """The mixture α·m∨ + β·m∧ with α, β = ``coefficients(k12)``."""
+    """The mixture α·m∨ + β·m∧ with (α, β) = ``mix(k12)``."""
     meet, disjoint, join = _pair_pass(m1, m2, union=True)
-    c = coefficients(_sorted_k12(disjoint))
-    out = {z: c.beta * v for z, v in _split(meet)[1].items()}
+    alpha, beta = mix(_sorted_k12(disjoint))
+    out = {z: beta * v for z, v in _split(meet)[1].items()}
     for z, v in join.items():
-        out[z] = out.get(z, 0.0) + c.alpha * v
+        out[z] = out.get(z, 0.0) + alpha * v
     del meet, disjoint, join
     return _mass(m1.frame, out)
 
@@ -210,20 +194,20 @@ def acr_generic(
     if abs(beta(0.0) - 1.0) > TOTAL_CONFLICT_TOL or abs(beta(1.0)) > TOTAL_CONFLICT_TOL:
         raise InvalidBetaError("beta must satisfy beta(0)=1 and beta(1)=0")
 
-    def coefficients(k12: float) -> AcrCoefficients:
+    def mix(k12: float) -> tuple[float, float]:
         b = beta(k12)
         if not 0.0 <= b <= 1.0:
             raise InvalidBetaError(f"beta({k12!r}) = {b!r} is outside [0, 1]")
-        return AcrCoefficients(1.0 - (1.0 - k12) * b, b, k12)
+        return 1.0 - (1.0 - k12) * b, b
 
-    return _acr_combine(m1, m2, coefficients)
+    return _acr_combine(m1, m2, mix)
 
 
 def sacr(m1: MassFunction, m2: MassFunction) -> MassFunction:
     """Symmetric adaptive rule: the mixture with the closed-form weights
     α0, β0, which is conjunctive at zero conflict and disjunctive at total
     conflict."""
-    return _acr_combine(m1, m2, sacr_coefficients)
+    return _acr_combine(m1, m2, lambda k: (alpha0(k), beta0(k)))
 
 
 def acr_inagaki_weights(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -218,6 +219,15 @@ class TestConflict:
         d = conflict(*ZADEH)
         assert sum(p for _, _, p in d.pairs) == pytest.approx(d.total, abs=1e-9)
 
+    def test_frozen(self):
+        d = conflict(*EX1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.total = 0.0
+
+    def test_pairs_built_once(self):
+        d = conflict(*ZADEH)
+        assert d.pairs is d.pairs
+
 
 # ---------------------------------------------------------------------------
 # Randomized algebraic properties
@@ -300,6 +310,21 @@ def test_conflict_equals_conjunctive_empty_mass(data):
     assert conflict(m1, m2).total == pytest.approx(
         conjunctive(m1, m2).mass(frame.empty_set()), abs=1e-12
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame_and_bbas())
+def test_conflict_total_is_the_ordered_sum_of_its_pairs(data):
+    # total is summed over the disjoint pairs in (x, y) order, the order
+    # pairs reports them in, so the two agree to the last bit.
+    _, (m1, m2) = data
+    d = conflict(m1, m2)
+    keys = [(x.bits, y.bits) for x, y, _ in d.pairs]
+    assert keys == sorted(keys)
+    total = 0.0
+    for _, _, product in d.pairs:
+        total += product
+    assert d.total == total
 
 
 def test_random_dense_oracle_equivalence(rng):

@@ -1,5 +1,7 @@
 """Golden outputs: SHA-256 digests of trajectory files recorded before the
-combination rules were rebuilt on the single pair pass.
+combination rules were rebuilt on the single pair pass; the Dempster digest
+was re-recorded when the rule began to normalize by Σ_{A≠∅} m∧(A) instead of
+1 - k12 (a deliberate change of its trajectory).
 
 Any change to a rule's arithmetic, to the order in which it sums k12 or
 redistributes conflicting mass, or to the insertion order of its output
@@ -27,7 +29,7 @@ DESK = dict(n_targets=20, n_emitters=35, emitters_per_target=(5, 9), truth_index
 WIDE = dict(DESK, n_targets=135, n_emitters=200, n_reports=10)
 
 TRAJECTORIES = [
-    ("dempster", DESK, "bba02ebca1db81fe45c2d5c87053181ff0c4dc07a4101dc024b8f537cf07c6d1"),
+    ("dempster", DESK, "4820774ee048aad706bbb8095eb2d21d1a75b2f2be2e75ee1e9095847bf9a1c6"),
     ("yager", DESK, "9523a46b0c3c789be699fcaedf78f6d3f9491e04427fdb8a0a6306c8ec8f3bbf"),
     ("dubois-prade", DESK, "409f843cd153f50ebe95f849c3f5793f6e322afc8641ad9f60896e7ccfafad17"),
     ("inagaki", DESK, "c026a84889b2d6a250c80649f26144b7912e9983886c028db96c82cd940d10ff"),

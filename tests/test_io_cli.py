@@ -279,8 +279,10 @@ class TestCli:
             ({"rule": "smets"}, ()),
             ({"n_targets": 1, "truth_index": 0, "similar_target": None}, ()),
             ({"n_targets": 2, "truth_index": 0, "similar_target": 1}, ()),
+            ({}, ("--rules", "pcr,pcr")),
         ],
-        ids=["pool-too-small", "rules-smets", "config-smets", "one-target", "no-other-target"],
+        ids=["pool-too-small", "rules-smets", "config-smets", "one-target", "no-other-target",
+             "rules-duplicate"],
     )
     def test_scenario_infeasible_config_exit_2(self, tmp_path, overrides, extra):
         cfg = tmp_path / "config.json"

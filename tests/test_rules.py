@@ -24,7 +24,6 @@ from belieffusion import (
     pcr,
     pcr_shares,
     sacr,
-    sacr_coefficients,
     smets,
     vacuous,
     validate,
@@ -73,6 +72,9 @@ class TestSmets:
     def test_vacuous(self):
         out = smets(EX1[0], vacuous(FRAME_AB))
         assert out.mass(FRAME_AB.empty_set()) == 0.0
+
+    def test_is_the_conjunctive_operator(self):
+        assert smets is conjunctive
 
 
 class TestYager:
@@ -162,11 +164,11 @@ class TestInagaki:
 
 class TestAcr:
     def test_coefficients(self):
-        c = sacr_coefficients(0.18)
-        assert c.alpha == pytest.approx(0.18 / 0.8524, abs=1e-12)
-        assert c.beta == pytest.approx(0.82 / 0.8524, abs=1e-12)
+        alpha, beta = alpha0(0.18), beta0(0.18)
+        assert alpha == pytest.approx(0.18 / 0.8524, abs=1e-12)
+        assert beta == pytest.approx(0.82 / 0.8524, abs=1e-12)
         # normalization constraint
-        assert c.alpha == pytest.approx(1.0 - (1.0 - 0.18) * c.beta, abs=1e-12)
+        assert alpha == pytest.approx(1.0 - (1.0 - 0.18) * beta, abs=1e-12)
 
     def test_boundary_coefficients(self):
         assert alpha0(0.0) == 0.0 and beta0(0.0) == 1.0

@@ -13,6 +13,7 @@ from belieffusion import (
     vacuous,
     validate,
 )
+from belieffusion.core import SUM_TOL
 from belieffusion.rules import RULES
 from belieffusion.scenario import write_trajectory_csv
 
@@ -262,9 +263,9 @@ class TestRunScenario:
         "rule", ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr"]
     )
     def test_recorded_conflict_matches_refold_wide(self, rule):
-        # The fold reads k12 through a private helper rather than conflict();
-        # on 135 targets k12 sums many disjoint pairs, so a different
-        # summation order would show in the last bits.
+        # On 135 targets k12 sums many disjoint pairs, so a fold that summed
+        # them in another order (or read k12 from the ∩-table) would show in
+        # the last bits.
         cfg = make_config(n_targets=135, n_emitters=200, emitters_per_target=(5, 9),
                           truth_index=4, similar_target=5, rule=rule, seed=4)
         result = run_scenario(cfg)
@@ -289,6 +290,21 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert result.failed_at == 3
         assert len(result.records) == result.failed_at - 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_long_dempster_stream_stays_normalized(self, seed):
+        # Dividing by 1 - k12 let the mass sum drift on 100-report streams
+        # (BetP above 1, spurious total conflict); dividing by the sum of the
+        # non-empty conjunctive masses keeps every state normalized.
+        cfg = make_config(n_targets=20, n_emitters=35, emitters_per_target=(5, 9),
+                          truth_index=4, similar_target=5, rule="dempster",
+                          n_reports=100, seed=seed)
+        result = run_scenario(cfg)
+        assert result.failed_at is None
+        for r in result.records:
+            assert 0.0 <= r.betp_truth <= 1.0 and 0.0 <= r.betp_similar <= 1.0
+        assert all(0.0 <= p <= 1.0 for p in betp(result.final_state).probs)
+        assert abs(result.final_state.total() - 1.0) <= SUM_TOL
 
     def test_csv_deterministic(self, tmp_path):
         cfg = make_config()
