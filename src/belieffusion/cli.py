@@ -28,7 +28,7 @@ from typing import Any, Optional, Sequence
 
 from . import core, decision  # looked up per call, so wrappers installed on them apply
 from .core import FrameMismatchError, MassFunction, validate
-from .massio import MassFormatError, mass_to_dict, read_mass, write_mass
+from .massio import MassFormatError, mass_to_dict, read_json, read_mass, write_mass
 from .rules import RULES, DegenerateError, TotalConflictError
 from .scenario import (
     ScenarioConfig,
@@ -48,7 +48,6 @@ EXIT_IO = 5
 EXIT_CODES: dict[type[Exception], int] = {
     MassFormatError: EXIT_INPUT,
     ScenarioError: EXIT_INPUT,
-    UnicodeDecodeError: EXIT_INPUT,
     FrameMismatchError: EXIT_FRAME_MISMATCH,
     TotalConflictError: EXIT_TOTAL_CONFLICT,
     DegenerateError: EXIT_TOTAL_CONFLICT,
@@ -114,11 +113,7 @@ def _typed(value: Any, hint: Any) -> Any:
 def _parse_scenario_config(path: str) -> ScenarioConfig:
     """A config file holds any ``ScenarioConfig`` fields by name; the fields
     without a default are required."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    doc = read_json(path, ScenarioError)
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
     fields = dataclasses.fields(ScenarioConfig)
@@ -134,6 +129,10 @@ def _parse_scenario_config(path: str) -> ScenarioConfig:
             except TypeError:
                 raise ScenarioError(
                     f"{path}: config key {f.name!r} must be {f.type}, not {doc[f.name]!r}"
+                ) from None
+            except OverflowError:
+                raise ScenarioError(
+                    f"{path}: config key {f.name!r} is too large for a float"
                 ) from None
         elif f.default is dataclasses.MISSING:
             raise ScenarioError(f"{path}: missing config key {f.name!r}")

@@ -35,6 +35,11 @@ __all__ = [
 SUM_TOL = 1e-9
 
 
+# A table maps an int bit mask to its summed mass.
+Table = dict[int, float]
+Pairs = list[tuple[int, int, float, float]]
+
+
 class FrameMismatchError(ValueError):
     """Two mass functions defined on different frames were combined."""
 
@@ -154,46 +159,52 @@ class FocalSet:
         return "∪".join(names) if names else "∅"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MassFunction:
     """A sparse basic belief assignment over subsets of a frame.
 
     Only strictly positive masses are stored; reading an absent set yields 0.
     ``open_world`` marks results that legitimately carry mass on the empty
     set (the conjunctive operator, Smets' rule); closed-world inputs to any
-    combination rule must have ``open_world=False``.
+    combination rule must have ``open_world=False``. The masses are stored
+    in ``_table``, keyed by ``int`` bit mask in insertion order; ``entries``
+    is a view of it keyed by ``FocalSet``, built on first read.
     """
 
     frame: Frame
-    entries: Mapping[FocalSet, float]
+    _table: Table
     open_world: bool = False
 
-    def __post_init__(self) -> None:
-        cleaned = {
-            fs: float(v) for fs, v in self.entries.items() if v != 0.0
-        }
-        for fs in cleaned:
-            if fs.width != self.frame.size:
-                raise FrameMismatchError("focal set width does not match frame")
-        object.__setattr__(self, "entries", cleaned)
+    def __init__(
+        self, frame: Frame, entries: Mapping[FocalSet, float], open_world: bool = False
+    ) -> None:
+        table = {fs.bits: float(v) for fs, v in entries.items() if v != 0.0}
+        if any(fs.width != frame.size for fs, v in entries.items() if v != 0.0):
+            raise FrameMismatchError("focal set width does not match frame")
+        self.__dict__.update(frame=frame, _table=table, open_world=open_world)
+
+    @cached_property
+    def entries(self) -> dict[FocalSet, float]:
+        width = self.frame.size
+        return {FocalSet(z, width): v for z, v in self._table.items()}
 
     def mass(self, fs: FocalSet) -> float:
-        return self.entries.get(fs, 0.0)
+        return self._table.get(fs.bits, 0.0) if fs.width == self.frame.size else 0.0
 
     def items(self) -> Iterator[tuple[FocalSet, float]]:
         """The stored entries in ascending bit order."""
-        for fs in sorted(self.entries, key=lambda fs: fs.bits):
-            yield fs, self.entries[fs]
+        for z in sorted(self._table):
+            yield FocalSet(z, self.frame.size), self._table[z]
 
     def total(self) -> float:
-        return sum(self.entries.values())
+        return sum(self._table.values())
 
     def is_close_to(self, other: MassFunction, tol: float = SUM_TOL) -> bool:
         """Entrywise comparison over the union of stored focal sets."""
         if self.frame != other.frame:
             return False
-        keys = set(self.entries) | set(other.entries)
-        return all(abs(self.mass(k) - other.mass(k)) <= tol for k in keys)
+        a, b = self._table, other._table
+        return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in a.keys() | b.keys())
 
 
 @dataclass(frozen=True)
@@ -227,26 +238,17 @@ def validate(m: MassFunction, tol: float = SUM_TOL) -> ValidationReport:
             violations.append(f"non-finite mass {v!r} on {fs.label(m.frame)}")
         elif v < 0.0:
             violations.append(f"negative mass {v!r} on {fs.label(m.frame)}")
-    total = sum(m.entries.values())
+    total = m.total()
     if abs(total - 1.0) > tol:
         violations.append(f"masses sum to {total!r}, not 1")
-    if not m.open_world:
-        empty = m.frame.empty_set()
-        if empty in m.entries:
-            violations.append(
-                f"closed-world bba carries mass {m.entries[empty]!r} on ∅"
-            )
+    if not m.open_world and 0 in m._table:
+        violations.append(f"closed-world bba carries mass {m._table[0]!r} on ∅")
     return ValidationReport(not violations, tuple(violations))
 
 
 def vacuous(frame: Frame) -> MassFunction:
     """The totally ignorant bba: all mass on the full frame."""
     return MassFunction(frame, {frame.full_set(): 1.0})
-
-
-# A table maps an int bit mask to its summed mass.
-Table = dict[int, float]
-Pairs = list[tuple[int, int, float, float]]
 
 
 def _pair_pass(
@@ -262,12 +264,11 @@ def _pair_pass(
         raise FrameMismatchError("mass functions defined on different frames")
     if m1.open_world or m2.open_world:
         raise ValueError("combination inputs must be closed-world bbas")
-    right = [(y.bits, b) for y, b in m2.entries.items()]
+    right = list(m2._table.items())
     meet: Table = {}
     disjoint: Pairs = []
     join: Optional[Table] = {} if union else None
-    for fs, a in m1.entries.items():
-        x = fs.bits
+    for x, a in m1._table.items():
         for y, b in right:
             product = a * b
             z = x & y
@@ -290,12 +291,17 @@ def _sorted_k12(disjoint: Pairs) -> float:
     return k12
 
 
+def _nonzero(table: Table) -> Table:
+    """``table`` without its zero masses; ``table`` itself when it has none."""
+    return {z: v for z, v in table.items() if v != 0.0} if 0.0 in table.values() else table
+
+
 def _mass(frame: Frame, table: Table, open_world: bool = False) -> MassFunction:
-    """Build a mass function from an ``int``-keyed table."""
-    width = frame.size
-    return MassFunction(
-        frame, {FocalSet(z, width): v for z, v in table.items()}, open_world
-    )
+    """A mass function that takes over an ``int``-keyed table of float
+    masses, keeping its order and dropping its zero masses."""
+    m = MassFunction.__new__(MassFunction)
+    m.__dict__.update(frame=frame, _table=_nonzero(table), open_world=open_world)
+    return m
 
 
 def conjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:

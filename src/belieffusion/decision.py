@@ -44,7 +44,7 @@ def betp(m: MassFunction) -> PignisticDistribution:
     Each focal set's share ``mass / |A|`` is placed on its members with a
     select (so an inf or nan mass reaches only its own members) and the
     rows are summed with ``np.add.accumulate``, one row after another in
-    ``m.entries`` order, carrying the running row across blocks. That is
+    storage order, carrying the running row across blocks. That is
     the same sequence of additions as ``probs[i] += share`` over the
     entries, so the result is bit-for-bit that loop's; ``np.sum``, ``@``
     and ``einsum`` sum pairwise or in BLAS order and change the last bits.
@@ -54,11 +54,10 @@ def betp(m: MassFunction) -> PignisticDistribution:
     n = m.frame.size
     nbytes = (n + 7) // 8
     packed = np.frombuffer(
-        b"".join(fs.bits.to_bytes(nbytes, "little") for fs in m.entries),
-        dtype=np.uint8,
-    ).reshape(len(m.entries), nbytes)
+        b"".join(z.to_bytes(nbytes, "little") for z in m._table), dtype=np.uint8
+    ).reshape(len(m._table), nbytes)
     try:
-        shares = np.array([v / fs.bits.bit_count() for fs, v in m.entries.items()])
+        shares = np.array([v / z.bit_count() for z, v in m._table.items()])
     except ZeroDivisionError:
         raise ValueError(
             "closed-world bba carries mass on ∅, which has no pignistic home"

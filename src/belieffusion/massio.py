@@ -22,7 +22,8 @@ from typing import Any
 
 from .core import FocalSet, Frame, MassFunction, make_frame
 
-__all__ = ["MassFormatError", "mass_to_dict", "mass_from_dict", "read_mass", "write_mass"]
+__all__ = ["MassFormatError", "mass_to_dict", "mass_from_dict", "read_json", "read_mass",
+           "write_mass"]
 
 
 class MassFormatError(ValueError):
@@ -80,16 +81,27 @@ def mass_from_dict(doc: Any) -> MassFunction:
             raise MassFormatError(f"masses[{i}]: 'mass' must be a number")
         if fs in entries:
             raise MassFormatError(f"masses[{i}]: duplicate set {fs.label(frame)}")
-        entries[fs] = float(value)
+        try:
+            entries[fs] = float(value)
+        except OverflowError:
+            raise MassFormatError(f"masses[{i}]: 'mass' is too large for a float") from None
     return MassFunction(frame, entries, open_world=open_world)
 
 
-def read_mass(path: str) -> MassFunction:
+def read_json(path: str, error: type[ValueError] = MassFormatError) -> Any:
+    """The JSON document in ``path``; one that is malformed, not UTF-8, or past
+    ``json``'s limits (integer digits, nesting) raises ``error`` naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise MassFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+            raise error(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: {exc}") from None
+
+
+def read_mass(path: str) -> MassFunction:
+    doc = read_json(path)
     try:
         return mass_from_dict(doc)
     except MassFormatError as exc:

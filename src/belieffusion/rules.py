@@ -7,29 +7,21 @@ proportional conflict redistribution.
 Every rule consumes two validated closed-world mass functions on a shared
 frame and is a pure function of its inputs. Each one is a short policy over
 a single call of the core pair pass: it reads the ∩-table (k12 under key 0),
-the disjoint pairs and, for the adaptive mixture, the ∪-table, and decides
-where the conflicting mass goes. The tables are released before the output
-mass function is built, which keeps the peak memory of a large fusion down.
+the disjoint pairs and, for the adaptive mixture, the ∪-table, decides where
+the conflicting mass goes, and returns the output table and the disjoint
+pairs. ``_step``, the scenario fold's step, also sums k12 from those pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
+from inspect import signature
 from typing import Callable, Iterator, Mapping
 
-from .core import (
-    FocalSet,
-    FrameMismatchError,
-    MassFunction,
-    Pairs,
-    Table,
-    _mass,
-    _pair_pass,
-    _sorted_k12,
-    conflict,
-    conjunctive,
-    disjunctive,
-)
+from .core import FocalSet, FrameMismatchError, MassFunction, Pairs, Table, conjunctive
+from .core import _mass, _nonzero, _pair_pass, _sorted_k12
+from .core import conflict, disjunctive  # noqa: F401 (tracing tools patch them here)
 
 __all__ = [
     "TotalConflictError",
@@ -69,46 +61,54 @@ class InvalidBetaError(ValueError):
     """A supplied mixture weighting violates its endpoint contract."""
 
 
-def _split(meet: Table) -> tuple[float, Table]:
-    """k12 and the conjunctive masses of the non-empty sets, without zero
-    masses (which a mass function would not have stored)."""
-    return meet.get(0, 0.0), {z: v for z, v in meet.items() if z and v != 0.0}
+def _rule(policy: Callable[..., tuple[Table, Pairs]]) -> Callable[..., MassFunction]:
+    """The public rule of a policy: its output table as a mass function."""
+    rule = wraps(policy)(lambda m1, m2, *args: _mass(m1.frame, policy(m1, m2, *args)[0]))
+    rule.__signature__ = signature(policy).replace(return_annotation="MassFunction")
+    return rule
 
 
-def dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
+def _split(m1: MassFunction, m2: MassFunction) -> tuple[float, Table, Pairs]:
+    """One pair pass: k12, the non-empty sets' conjunctive masses, the disjoint pairs."""
+    meet, disjoint, _ = _pair_pass(m1, m2)
+    return meet.pop(0, 0.0), _nonzero(meet), disjoint
+
+
+@_rule
+def dempster(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     """Normalized conjunctive rule: divide each non-empty conjunctive mass by
     their sum (1 - k12, free of input drift). Raises TotalConflictError at k12 = 1."""
-    out = _split(_pair_pass(m1, m2)[0])[1]
+    _, out, disjoint = _split(m1, m2)
     norm = sum(out.values())
     if norm <= TOTAL_CONFLICT_TOL:
         raise TotalConflictError(
             "total conflict between sources (k12=1); Dempster's rule cannot be used"
         )
-    return _mass(m1.frame, {z: v / norm for z, v in out.items()})
+    return {z: v / norm for z, v in out.items()}, disjoint
 
 
 # Smets' unnormalized rule is the conjunctive operator: the conflict stays on ∅.
 smets = conjunctive
 
 
-def yager(m1: MassFunction, m2: MassFunction) -> MassFunction:
+@_rule
+def yager(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     """Conjunctive rule with the conflict transferred to total ignorance."""
-    k12, out = _split(_pair_pass(m1, m2)[0])
+    k12, out, disjoint = _split(m1, m2)
     if k12:
         full = (1 << m1.frame.size) - 1
         out[full] = out.get(full, 0.0) + k12
-    return _mass(m1.frame, out)
+    return out, disjoint
 
 
-def dubois_prade(m1: MassFunction, m2: MassFunction) -> MassFunction:
+@_rule
+def dubois_prade(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     """Conjunctive masses plus each disjoint pair's product moved to X∪Y."""
-    meet, disjoint, _ = _pair_pass(m1, m2)
-    _, out = _split(meet)
+    _, out, disjoint = _split(m1, m2)
     for x, y, a, b in disjoint:
         u = x | y
         out[u] = out.get(u, 0.0) + a * b
-    del meet, disjoint
-    return _mass(m1.frame, out)
+    return out, disjoint
 
 
 # Static two-source DSmH on an exclusive frame coincides with Dubois & Prade's rule.
@@ -129,27 +129,29 @@ def _check_weights(frame, weights: Mapping[FocalSet, float]) -> None:
         raise ValueError(f"weights sum to {total!r}, not 1")
 
 
+@_rule
 def inagaki_generic(
     m1: MassFunction, m2: MassFunction, weights: Mapping[FocalSet, float]
-) -> MassFunction:
+) -> tuple[Table, Pairs]:
     """Inagaki's weighted redistribution: each non-empty A receives
     m∧(A) + w(A)·k12 for a caller-chosen unit-sum weight assignment."""
-    k12, out = _split(_pair_pass(m1, m2)[0])
+    k12, out, disjoint = _split(m1, m2)
     _check_weights(m1.frame, weights)
     for fs, w in weights.items():
         share = w * k12
         if share:
             out[fs.bits] = out.get(fs.bits, 0.0) + share
-    return _mass(m1.frame, out)
+    return out, disjoint
 
 
-def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> MassFunction:
+@_rule
+def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     """The extremal member of Inagaki's family: the conflict is distributed
     so that ratios between the masses of any two sets other than the frame
     are preserved. Θ keeps its conjunctive mass."""
-    k12, out = _split(_pair_pass(m1, m2)[0])
+    k12, out, disjoint = _split(m1, m2)
     if k12 == 0.0:
-        return _mass(m1.frame, out)
+        return out, disjoint
     full = (1 << m1.frame.size) - 1
     theta_mass = out.pop(full, 0.0)
     s = sum(out.values())
@@ -159,7 +161,7 @@ def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> MassFunction:
     out = {z: v * factor for z, v in out.items()}
     if theta_mass:
         out[full] = theta_mass
-    return _mass(m1.frame, out)
+    return out, disjoint
 
 
 def alpha0(k: float) -> float:
@@ -174,20 +176,20 @@ def beta0(k: float) -> float:
 
 def _acr_combine(
     m1: MassFunction, m2: MassFunction, mix: Callable[[float], tuple[float, float]]
-) -> MassFunction:
+) -> tuple[Table, Pairs]:
     """The mixture α·m∨ + β·m∧ with (α, β) = ``mix(k12)``."""
     meet, disjoint, join = _pair_pass(m1, m2, union=True)
     alpha, beta = mix(_sorted_k12(disjoint))
-    out = {z: beta * v for z, v in _split(meet)[1].items()}
+    out = {z: beta * v for z, v in _nonzero(meet).items() if z}
     for z, v in join.items():
         out[z] = out.get(z, 0.0) + alpha * v
-    del meet, disjoint, join
-    return _mass(m1.frame, out)
+    return out, disjoint
 
 
+@_rule
 def acr_generic(
     m1: MassFunction, m2: MassFunction, beta: Callable[[float], float]
-) -> MassFunction:
+) -> tuple[Table, Pairs]:
     """Adaptive mixture α·m∨ + β·m∧ for a caller-supplied decreasing weight
     β with β(0)=1 and β(1)=0; α follows from the normalization constraint
     α(k) = 1 - (1-k)·β(k)."""
@@ -203,7 +205,8 @@ def acr_generic(
     return _acr_combine(m1, m2, mix)
 
 
-def sacr(m1: MassFunction, m2: MassFunction) -> MassFunction:
+@_rule
+def sacr(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     """Symmetric adaptive rule: the mixture with the closed-form weights
     α0, β0, which is conjunctive at zero conflict and disjunctive at total
     conflict."""
@@ -219,18 +222,17 @@ def acr_inagaki_weights(
     Diagnostic only; undefined at k12 = 0, where the mixture is plainly
     conjunctive.
     """
-    k12 = conflict(m1, m2).total
+    meet, disjoint, join = _pair_pass(m1, m2, union=True)
+    k12 = _sorted_k12(disjoint)
     if k12 == 0.0:
         raise DegenerateError("weights are undefined at zero conflict")
     b = beta(k12)
-    conj = conjunctive(m1, m2)
-    disj = disjunctive(m1, m2)
-    weights: dict[FocalSet, float] = {}
-    for fs in set(conj.entries) | set(disj.entries):
-        if fs.is_empty:
-            continue
-        weights[fs] = (1.0 - b) / k12 * (disj.mass(fs) - conj.mass(fs)) + b * disj.mass(fs)
-    return weights
+    conj, disj, width = _nonzero(meet), _nonzero(join), m1.frame.size
+    return {
+        FocalSet(z, width): (1.0 - b) / k12 * (disj.get(z, 0.0) - conj.get(z, 0.0))
+        + b * disj.get(z, 0.0)
+        for z in conj.keys() | disj.keys() if z
+    }
 
 
 @dataclass(frozen=True)
@@ -268,19 +270,18 @@ def pcr_shares(m1: MassFunction, m2: MassFunction) -> list[ConflictShare]:
     ]
 
 
-def pcr(m1: MassFunction, m2: MassFunction) -> MassFunction:
+@_rule
+def pcr(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     """Proportional conflict redistribution: conjunctive masses plus every
     partial conflicting product returned to the two sets that generated it,
     proportionally to their individual masses."""
-    meet, disjoint, _ = _pair_pass(m1, m2)
-    _, out = _split(meet)
+    _, out, disjoint = _split(m1, m2)
     for x, y, _, to_x, to_y in _shares(disjoint):
         if to_x:
             out[x] = out.get(x, 0.0) + to_x
         if to_y:
             out[y] = out.get(y, 0.0) + to_y
-    del meet, disjoint
-    return _mass(m1.frame, out)
+    return out, disjoint
 
 
 # Stable lowercase identifiers for the CLI and file outputs.
@@ -294,3 +295,13 @@ RULES: dict[str, Callable[[MassFunction, MassFunction], MassFunction]] = {
     "sacr": sacr,
     "pcr": pcr,
 }
+
+# Resolved once, so the fold's steps bypass RULES (which tracing tools wrap).
+_POLICIES = {name: rule.__wrapped__ for name, rule in RULES.items() if name != "smets"}
+
+
+def _step(rule: str, m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
+    """One fusion under ``RULES[rule]`` and its k12 from the same pair pass, summed
+    over the disjoint pairs sorted (as ``conflict`` sums) after the policy walked them."""
+    out, disjoint = _POLICIES[rule](m1, m2)
+    return _mass(m1.frame, out), _sorted_k12(disjoint)

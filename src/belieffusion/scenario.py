@@ -22,9 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FocalSet, Frame, MassFunction, conflict, make_frame, vacuous
+# conflict is unused here but stays bound: tracing tools patch it by name.
+from .core import FocalSet, Frame, MassFunction, conflict, make_frame, vacuous  # noqa: F401
 from .decision import betp, decide
-from .rules import RULES, TotalConflictError
+from .rules import RULES, TotalConflictError, _step
 
 __all__ = [
     "ScenarioError",
@@ -112,8 +113,8 @@ class ScenarioConfig:
             raise ScenarioError(
                 "smets produces open-world states that cannot be re-fused or pignistified"
             )
-        if self.seed < 0:
-            raise ScenarioError("seed must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            raise ScenarioError("seed must be an unsigned 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -239,7 +240,8 @@ class ScenarioResult:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Fold the report stream through the configured rule, starting from the
     vacuous bba, recording conflict, pignistic values, and the max-BetP
-    decision after every step.
+    decision after every step. Each step makes one pair pass, which yields
+    both the fused state and its k12.
 
     A Dempster total-conflict failure mid-run truncates the trajectory and
     is reported through ``failed_at`` rather than raised: demonstrating the
@@ -250,15 +252,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     pdb = build_pdb(config, rng)
     reports = tuple(gen_report(pdb, config, rng) for _ in range(config.n_reports))
 
-    rule_fn = RULES[config.rule]
     state = vacuous(pdb.frame)
     records: list[TrajectoryRecord] = []
     failed_at: Optional[int] = None
     for step, (emitter, report_set) in enumerate(reports, start=1):
         rb = report_bba(report_set, pdb.frame, config.report_mass)
-        k12 = conflict(state, rb).total
         try:
-            state = rule_fn(state, rb)
+            state, k12 = _step(config.rule, state, rb)
         except TotalConflictError:
             failed_at = step
             break

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belieffusion import core
 from belieffusion import (
     FocalSet,
     FrameMismatchError,
@@ -128,6 +129,40 @@ class TestValidate:
     def test_zero_masses_never_stored(self):
         m = MassFunction(FRAME_AB, {FRAME_AB.subset(["A"]): 1.0, FRAME_AB.subset(["B"]): 0.0})
         assert FRAME_AB.subset(["B"]) not in m.entries
+
+
+class TestMassFunctionStorage:
+    def test_entries_view_is_focal_set_keyed_in_insertion_order_and_built_once(self):
+        a, b, ab = FRAME_AB.subset(["A"]), FRAME_AB.subset(["B"]), FRAME_AB.full_set()
+        m = MassFunction(FRAME_AB, {ab: 0.25, a: 0.5, b: 0.25})
+        assert list(m.entries.items()) == [(ab, 0.25), (a, 0.5), (b, 0.25)]
+        assert m.entries is m.entries
+
+    def test_zero_masses_dropped_from_int_tables(self):
+        m = core._mass(FRAME_AB, {0b11: 0.0, 0b01: 1.0, 0b10: -0.0})
+        assert m._table == {0b01: 1.0}
+        assert list(m.entries) == [FRAME_AB.subset(["A"])]
+
+    def test_width_mismatch_raises(self):
+        wide = make_frame(["A", "B", "C"]).subset(["A"])
+        with pytest.raises(FrameMismatchError):
+            MassFunction(FRAME_AB, {wide: 1.0})
+
+    def test_equality_compares_frame_masses_and_open_world(self):
+        a, ab = FRAME_AB.subset(["A"]), FRAME_AB.full_set()
+        m = MassFunction(FRAME_AB, {a: 0.5, ab: 0.5})
+        assert m == MassFunction(FRAME_AB, {ab: 0.5, a: 0.5, FRAME_AB.subset(["B"]): 0.0})
+        assert m == core._mass(FRAME_AB, {0b11: 0.5, 0b01: 0.5})
+        assert m != MassFunction(FRAME_AB, {a: 0.5, ab: 0.5}, open_world=True)
+        assert m != MassFunction(FRAME_AB, {a: 0.25, ab: 0.75})
+        other = make_frame(["X", "Y"])
+        assert m != MassFunction(other, {other.subset(["X"]): 0.5, other.full_set(): 0.5})
+
+    def test_items_in_ascending_bit_order(self):
+        f = make_frame(["A", "B", "C"])
+        m = core._mass(f, {0b111: 0.25, 0b001: 0.25, 0b110: 0.25, 0b010: 0.25})
+        assert [fs.bits for fs, _ in m.items()] == [0b001, 0b010, 0b110, 0b111]
+        assert [v for _, v in m.items()] == [0.25] * 4
 
 
 class TestVacuous:

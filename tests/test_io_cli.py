@@ -196,6 +196,25 @@ class TestCli:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 401 digits: an integer json parses, too large for a float.
+            '{"frame": ["A"], "masses": [{"set": ["A"], "mass": 1%s}]}' % ("0" * 400),
+            # 5000 digits: over Python's limit for parsing an integer.
+            '{"frame": ["A"], "masses": [{"set": ["A"], "mass": 1%s}]}' % ("0" * 4999),
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["float-overflow", "digit-limit", "deep-nesting"],
+    )
+    def test_oversized_json_exit_2(self, tmp_path, text):
+        path = tmp_path / "big.json"
+        path.write_text(text, encoding="utf-8")
+        result = run_cli("betp", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"belieffusion: {path}: ")
+        assert result.stderr.count("\n") == 1 and result.stdout == ""
+
     def test_conflict_output(self, example_files):
         result = run_cli("conflict", *example_files)
         assert result.returncode == 0
@@ -280,9 +299,12 @@ class TestCli:
             ({"n_targets": 1, "truth_index": 0, "similar_target": None}, ()),
             ({"n_targets": 2, "truth_index": 0, "similar_target": 1}, ()),
             ({}, ("--rules", "pcr,pcr")),
+            ({"seed": 2**64}, ()),
+            # A 401-digit seed used to run, then fail writing a file named after it.
+            ({"seed": 10**400}, ()),
         ],
         ids=["pool-too-small", "rules-smets", "config-smets", "one-target", "no-other-target",
-             "rules-duplicate"],
+             "rules-duplicate", "seed-past-u64", "seed-401-digits"],
     )
     def test_scenario_infeasible_config_exit_2(self, tmp_path, overrides, extra):
         cfg = tmp_path / "config.json"
@@ -321,6 +343,18 @@ class TestCli:
         result = run_cli("scenario", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert result.returncode == 2
         assert repr(key) in result.stderr
+
+    @pytest.mark.parametrize("digits", [401, 5000], ids=["float-overflow", "digit-limit"])
+    def test_scenario_oversized_number_exit_2(self, tmp_path, digits):
+        doc = json.dumps({k: v for k, v in SMALL_CONFIG.items() if k != "pfa"})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(doc[:-1] + ', "pfa": 1' + "0" * (digits - 1) + "}", encoding="utf-8")
+        out = tmp_path / "o"
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"belieffusion: {cfg}: ")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_scenario_missing_key_exit_2(self, tmp_path):
         config = {k: v for k, v in SMALL_CONFIG.items() if k != "truth_index"}

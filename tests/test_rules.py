@@ -225,6 +225,19 @@ class TestAcr:
                 )
             assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_sacr_zero_conflict_keeps_only_conjunctive_sets(self):
+        # At k12 = 0 the disjunctive part enters with weight α0(0) = 0; its
+        # 0.0 × m∨ entries must not be stored.
+        # Here A∪B∪C is a ∪-set that no ∩ produces.
+        frame = make_frame(["A", "B", "C"])
+        m1 = bba(frame, {"AB": 0.6, "B": 0.4})
+        m2 = bba(frame, {"BC": 0.7, "B": 0.3})
+        assert conflict(m1, m2).total == 0.0
+        out = sacr(m1, m2)
+        assert set(out.entries) == set(conjunctive(m1, m2).entries)
+        assert frame.full_set() not in out.entries
+        assert 0.0 not in out.entries.values()
+
     def test_weights_can_be_negative(self):
         # A focal element whose conjunctive mass exceeds its disjunctive mass
         # draws a negative weight.
@@ -383,3 +396,24 @@ def test_dempster_associativity(data):
     except TotalConflictError:
         return
     assert left.is_close_to(right, tol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_and_bbas())
+def test_inagaki_weights_match_three_pass_definition(data):
+    # The weights come from one pair pass; they must equal, exactly, the
+    # definition read off conflict, the conjunctive and the disjunctive rule.
+    _, (m1, m2) = data
+    k12 = conflict(m1, m2).total
+    if k12 == 0.0:
+        with pytest.raises(DegenerateError):
+            acr_inagaki_weights(m1, m2, beta0)
+        return
+    b = beta0(k12)
+    conj, disj = conjunctive(m1, m2), disjunctive(m1, m2)
+    expected = {
+        fs: (1.0 - b) / k12 * (disj.mass(fs) - conj.mass(fs)) + b * disj.mass(fs)
+        for fs in set(conj.entries) | set(disj.entries)
+        if not fs.is_empty
+    }
+    assert acr_inagaki_weights(m1, m2, beta0) == expected

@@ -13,6 +13,7 @@ from belieffusion import (
     vacuous,
     validate,
 )
+from belieffusion import core, rules
 from belieffusion.core import SUM_TOL
 from belieffusion.rules import RULES
 from belieffusion.scenario import write_trajectory_csv
@@ -275,6 +276,26 @@ class TestRunScenario:
             rb = report_bba(report_set, result.pdb.frame, cfg.report_mass)
             assert record.conflict_k12 == conflict(state, rb).total
             state = RULES[rule](state, rb)
+        assert result.final_state == state
+
+    @pytest.mark.parametrize(
+        "rule", ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr"]
+    )
+    def test_one_pair_pass_per_step(self, rule, monkeypatch):
+        # Every pass goes through the kernel, either under the name the rules
+        # call or under core's own (conflict and the other views): count both.
+        calls = []
+        original = core._pair_pass
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rules, "_pair_pass", counting)
+        monkeypatch.setattr(core, "_pair_pass", counting)
+        result = run_scenario(make_config(rule=rule))
+        assert result.failed_at is None
+        assert len(calls) == len(result.records) == 12
 
     def test_smets_rejected(self):
         with pytest.raises(ScenarioError, match="smets"):
