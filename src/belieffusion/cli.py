@@ -9,11 +9,15 @@ Subcommands::
     belieffusion scenario --config <file> --out <dir> [--rules <csv>] [--seed <u64>]
     belieffusion rules
 
-Exit codes: 0 success, 2 parse/validation/config failure (``scenario``
-checks every run, ``smets`` and a repeated ``--rules`` entry included, before
-it writes anything), 3 frame mismatch, 4 total conflict or degenerate
-combination, 5 I/O error. Each failure prints one ``belieffusion: <cause>``
-line; diagnostics go to stderr, data to stdout.
+Exit codes: 0 success, 2 parse/validation/config failure (an unknown key in
+a bba file or config included; ``scenario`` checks every run, ``smets`` and a
+repeated ``--rules`` entry included, before it writes anything), 3 frame
+mismatch, 4 total conflict or degenerate combination, 5 I/O error. Each
+failure prints one ``belieffusion: <cause>`` line; diagnostics go to stderr,
+data to stdout.
+
+Only ``betp`` and ``scenario`` load numpy; ``combine``, ``conflict`` and
+``rules`` start without it.
 """
 
 from __future__ import annotations

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Frame, MassFunction
 
 __all__ = ["PignisticDistribution", "Decision", "betp", "decide", "TIE_TOL"]
@@ -49,6 +47,9 @@ def betp(m: MassFunction) -> PignisticDistribution:
     entries, so the result is bit-for-bit that loop's; ``np.sum``, ``@``
     and ``einsum`` sum pairwise or in BLAS order and change the last bits.
     """
+    # Imported here, not at module level, so commands that never call betp skip numpy.
+    import numpy as np
+
     if m.open_world:
         raise ValueError("pignistic transform requires a closed-world bba")
     n = m.frame.size

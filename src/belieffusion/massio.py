@@ -11,6 +11,7 @@ CLI and the test suite::
     }
 
 An empty ``set`` array denotes ∅ and is legal only with ``"open_world": true``.
+Any other key, at the top level or in a mass entry, is an error.
 Masses are serialized with ``repr`` (shortest round-trip decimals), so
 write → read is value-identical.
 """
@@ -42,9 +43,16 @@ def mass_to_dict(m: MassFunction) -> dict[str, Any]:
     return doc
 
 
+def _reject_unknown(obj: dict[str, Any], known: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise MassFormatError(f"{where}unknown key {key!r}")
+
+
 def mass_from_dict(doc: Any) -> MassFunction:
     if not isinstance(doc, dict):
         raise MassFormatError("top level must be an object")
+    _reject_unknown(doc, ("frame", "masses", "open_world"), "")
     try:
         labels = doc["frame"]
         masses = doc["masses"]
@@ -65,6 +73,7 @@ def mass_from_dict(doc: Any) -> MassFunction:
     for i, item in enumerate(masses):
         if not isinstance(item, dict) or "set" not in item or "mass" not in item:
             raise MassFormatError(f"masses[{i}]: expected {{'set': [...], 'mass': x}}")
+        _reject_unknown(item, ("set", "mass"), f"masses[{i}]: ")
         members = item["set"]
         if not isinstance(members, list):
             raise MassFormatError(f"masses[{i}]: 'set' must be an array of labels")

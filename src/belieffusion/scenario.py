@@ -20,8 +20,6 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
 # conflict is unused here but stays bound: tracing tools patch it by name.
 from .core import FocalSet, Frame, MassFunction, conflict, make_frame, vacuous  # noqa: F401
 from .decision import betp, decide
@@ -248,6 +246,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     rule's limit of applicability is a legitimate measurement.
     """
     config.check()
+    # Imported here, not at module level, so commands that never run a scenario skip numpy.
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(config.seed))
     pdb = build_pdb(config, rng)
     reports = tuple(gen_report(pdb, config, rng) for _ in range(config.n_reports))

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from belieffusion import conjunctive, make_frame, validate
+from belieffusion.cli import main
 from belieffusion.massio import (
     MassFormatError,
     mass_from_dict,
@@ -129,6 +130,10 @@ class TestCli:
              "masses[0]: label not in frame: 'C'"),
             ({"frame": ["A"], "masses": [{"set": ["A"], "mass": 1.0}], "open_world": "false"},
              "'open_world' must be true or false"),
+            ({"frame": ["A", "B"], "masses": [{"set": ["A"], "mass": 1.0}], "open_wrold": True},
+             "unknown key 'open_wrold'"),
+            ({"frame": ["A", "B"], "masses": [{"set": ["A"], "mass": 1.0, "weight": 2}]},
+             "masses[0]: unknown key 'weight'"),
         ],
     )
     def test_format_error_names_file(self, tmp_path, doc, cause):
@@ -372,3 +377,58 @@ class TestCli:
         meta = json.loads((tmp_path / "o" / "trajectory_pcr_seed0.meta.json").read_text())
         assert meta["pfa"] == 0.0 and isinstance(meta["pfa"], float)
         assert meta["report_mass"] == 1.0 and isinstance(meta["report_mass"], float)
+
+
+# The acceptance sweep's desk shape (tests/test_acceptance.py), seed 0.
+ACCEPTANCE_CONFIG = {
+    "n_targets": 20,
+    "n_emitters": 35,
+    "emitters_per_target": [5, 9],
+    "truth_index": 4,
+    "similar_target": 5,
+    "pfa": 0.3,
+    "n_reports": 25,
+    "report_mass": 0.8,
+}
+
+
+@pytest.mark.parametrize(
+    "argv,loads_numpy",
+    [
+        (None, False),
+        (["combine", "--rule", "pcr", "{m1}", "{m2}"], False),
+        (["conflict", "{m1}", "{m2}"], False),
+        (["rules"], False),
+        (["betp", "{m1}"], True),
+        (["scenario", "--config", "{config}", "--out", "{out}"], True),
+    ],
+    ids=["import", "combine", "conflict", "rules", "betp", "scenario"],
+)
+def test_numpy_loaded_only_by_betp_and_scenario(
+    tmp_path, capsys, example_files, argv, loads_numpy
+):
+    """In a fresh interpreter (this one imported numpy through conftest),
+    importing the package and the CLI loads no numpy, nor do the commands that
+    never call ``betp`` or ``run_scenario``; the two that do load it, and
+    produce the same output as an in-process run."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ACCEPTANCE_CONFIG), encoding="utf-8")
+    paths = dict(m1=example_files[0], m2=example_files[1], config=str(config))
+    code = (
+        "import sys\n"
+        "import belieffusion, belieffusion.cli\n"
+        "if len(sys.argv) > 1:\n"
+        "    assert belieffusion.cli.main(sys.argv[1:]) == 0\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    args = [a.format(out=str(tmp_path / "fresh"), **paths) for a in argv or []]
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+    assert result.stderr == f"{loads_numpy}\n"
+    if argv is None:
+        return
+    assert main([a.format(out=str(tmp_path / "here"), **paths) for a in argv]) == 0
+    assert result.stdout == capsys.readouterr().out
+    if "{out}" in argv:
+        fresh, here = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                       for d in ("fresh", "here"))
+        assert fresh and fresh == here
