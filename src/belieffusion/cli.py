@@ -9,12 +9,13 @@ Subcommands::
     belieffusion scenario --config <file> --out <dir> [--rules <csv>] [--seed <u64>]
     belieffusion rules
 
-Exit codes: 0 success, 2 parse/validation/config failure (an unknown key in
-a bba file or config included; ``scenario`` checks every run, ``smets`` and a
-repeated ``--rules`` entry included, before it writes anything), 3 frame
-mismatch, 4 total conflict or degenerate combination, 5 I/O error. Each
-failure prints one ``belieffusion: <cause>`` line; diagnostics go to stderr,
-data to stdout.
+Exit codes: 0 success, 2 bad command line (unknown option or choice, missing
+argument) or parse/validation/config failure (an unknown key in a bba file or
+config included; a config is checked when built, so ``scenario`` checks every
+run, ``smets`` and a repeated ``--rules`` entry included, before it writes
+anything), 3 frame mismatch, 4 total conflict or degenerate combination, 5 I/O
+error. Each failure prints one ``belieffusion: <cause>`` line; diagnostics go
+to stderr, data to stdout.
 
 Only ``betp`` and ``scenario`` load numpy; ``combine``, ``conflict`` and
 ``rules`` start without it.
@@ -50,6 +51,7 @@ EXIT_IO = 5
 
 # The exit code of each failure a command reports; the first matching class wins.
 EXIT_CODES: dict[type[Exception], int] = {
+    argparse.ArgumentError: EXIT_INPUT,
     MassFormatError: EXIT_INPUT,
     ScenarioError: EXIT_INPUT,
     FrameMismatchError: EXIT_FRAME_MISMATCH,
@@ -151,8 +153,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if len(set(rule_list)) < len(rule_list):
         raise ScenarioError(f"--rules lists a rule more than once: {args.rules!r}")
     runs = [dataclasses.replace(config, rule=rule) for rule in rule_list]
-    for c in [config, *runs]:
-        c.check()
 
     os.makedirs(args.out, exist_ok=True)
     for run in runs:
@@ -175,8 +175,14 @@ def _cmd_rules(_args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> typing.NoReturn:
+        """Raise a bad command line for ``main`` to report, not print usage and exit."""
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="belieffusion",
         description="Combine belief mass functions, inspect conflict, compute "
         "pignistic probabilities, and run identification scenarios.",
@@ -212,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))

@@ -10,7 +10,7 @@ functions, so everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -215,19 +215,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ConflictDecomposition:
-    """Total conflict k12 and the disjoint focal pairs producing it; ``pairs``
-    is built on first read, so reading only ``total`` costs the pass alone."""
+    """Total conflict k12 and the disjoint focal pairs producing it, in ``(x, y)`` order."""
 
     total: float
-    width: int = field(repr=False)
-    disjoint: tuple[tuple[int, int, float, float], ...] = field(repr=False)
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[FocalSet, FocalSet, float], ...]:
-        return tuple(
-            (FocalSet(x, self.width), FocalSet(y, self.width), a * b)
-            for x, y, a, b in self.disjoint
-        )
+    pairs: tuple[tuple[FocalSet, FocalSet, float], ...]
 
 
 def validate(m: MassFunction, tol: float = SUM_TOL) -> ValidationReport:
@@ -320,4 +311,6 @@ def conflict(m1: MassFunction, m2: MassFunction) -> ConflictDecomposition:
     into the disjoint focal pairs that produce it."""
     disjoint = _pair_pass(m1, m2)[1]
     total = _sorted_k12(disjoint)
-    return ConflictDecomposition(total, m1.frame.size, tuple(disjoint))
+    width = m1.frame.size
+    pairs = tuple((FocalSet(x, width), FocalSet(y, width), a * b) for x, y, a, b in disjoint)
+    return ConflictDecomposition(total, pairs)

@@ -116,16 +116,17 @@ dsmh = dubois_prade
 
 
 def _check_weights(frame, weights: Mapping[FocalSet, float]) -> None:
+    # Each condition is written so that a NaN weight or sum fails it.
     total = 0.0
     for fs, w in weights.items():
         if fs.width != frame.size:
             raise FrameMismatchError("weight set width does not match frame")
         if fs.is_empty:
             raise ValueError("weights must be assigned to non-empty sets only")
-        if w < 0.0:
-            raise ValueError(f"negative weight {w!r} on {fs.label(frame)}")
+        if not w >= 0.0:
+            raise ValueError(f"weight {w!r} on {fs.label(frame)} must be non-negative")
         total += w
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
         raise ValueError(f"weights sum to {total!r}, not 1")
 
 
@@ -135,8 +136,8 @@ def inagaki_generic(
 ) -> tuple[Table, Pairs]:
     """Inagaki's weighted redistribution: each non-empty A receives
     m∧(A) + w(A)·k12 for a caller-chosen unit-sum weight assignment."""
-    k12, out, disjoint = _split(m1, m2)
     _check_weights(m1.frame, weights)
+    k12, out, disjoint = _split(m1, m2)
     for fs, w in weights.items():
         share = w * k12
         if share:
@@ -193,7 +194,8 @@ def acr_generic(
     """Adaptive mixture α·m∨ + β·m∧ for a caller-supplied decreasing weight
     β with β(0)=1 and β(1)=0; α follows from the normalization constraint
     α(k) = 1 - (1-k)·β(k)."""
-    if abs(beta(0.0) - 1.0) > TOTAL_CONFLICT_TOL or abs(beta(1.0)) > TOTAL_CONFLICT_TOL:
+    # Written as "within tolerance", so that a NaN endpoint fails.
+    if not all(e <= TOTAL_CONFLICT_TOL for e in (abs(beta(0.0) - 1.0), abs(beta(1.0)))):
         raise InvalidBetaError("beta must satisfy beta(0)=1 and beta(1)=0")
 
     def mix(k12: float) -> tuple[float, float]:

@@ -56,7 +56,7 @@ TRAJECTORY_HEADER = [
 
 
 class ScenarioError(ValueError):
-    """The scenario configuration is infeasible or inconsistent."""
+    """The scenario configuration is infeasible or inconsistent; raised when one is built."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class ScenarioConfig:
     seed: int = 0
     similar_target: Optional[int] = None
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         lo, hi = self.emitters_per_target
         if self.n_targets < 1:
             raise ScenarioError("n_targets must be positive")
@@ -153,10 +153,9 @@ def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatab
     Because every other target carries the common emitter, every target
     shares hardware with the truth and the false-alarm pool Y is exactly the
     non-X pool: X is ``range(lo)`` and Y is ``range(lo, n_emitters)``.
-    ``check`` guarantees a non-truth, non-similar target, so Y is non-empty
-    and every target owns an emitter.
+    The config's constructor guarantees a non-truth, non-similar target, so Y
+    is non-empty and every target owns an emitter.
     """
-    config.check()
     lo, hi = config.emitters_per_target
     n = config.n_targets
     truth, similar = config.truth_index, config.similar_target
@@ -245,7 +244,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     is reported through ``failed_at`` rather than raised: demonstrating the
     rule's limit of applicability is a legitimate measurement.
     """
-    config.check()
     # Imported here, not at module level, so commands that never run a scenario skip numpy.
     import numpy as np
 

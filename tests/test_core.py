@@ -259,10 +259,6 @@ class TestConflict:
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.total = 0.0
 
-    def test_pairs_built_once(self):
-        d = conflict(*ZADEH)
-        assert d.pairs is d.pairs
-
 
 # ---------------------------------------------------------------------------
 # Randomized algebraic properties

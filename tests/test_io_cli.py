@@ -98,6 +98,28 @@ class TestCli:
             "dempster", "smets", "yager", "dubois-prade", "dsmh", "inagaki", "sacr", "pcr",
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["combine", "--rule", "nope", "a.json", "b.json"],
+            ["scenario", "--config", "c.json", "--out", "o", "--seed", "x"],
+            [],
+            ["combine", "--rule", "pcr", "a.json"],
+            ["rules", "--bogus"],
+        ],
+        ids=["bad-choice", "bad-seed", "no-subcommand", "no-positional", "unknown-option"],
+    )
+    def test_bad_command_line_exit_2_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("belieffusion: ") and err.count("\n") == 1
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["combine", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: belieffusion combine")
+
     def test_combine_pcr(self, example_files, tmp_path):
         out = tmp_path / "out.json"
         result = run_cli("combine", "--rule", "pcr", *example_files, "-o", str(out))

@@ -126,9 +126,19 @@ class TestInagaki:
         out = inagaki_generic(*EX3, {FRAME_AB.full_set(): 1.0})
         assert out.is_close_to(yager(*EX3), tol=1e-12)
 
-    def test_generic_rejects_bad_weight_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            inagaki_generic(*EX1, {FRAME_AB.full_set(): 0.5})
+    @pytest.mark.parametrize(
+        "weights,match",
+        [
+            ({"AB": 0.5}, "sum"),
+            ({"A": 1.0, "B": math.nan}, "non-negative"),
+            ({"A": 1.5, "B": -0.5}, "non-negative"),
+            ({"A": math.inf}, "sum"),
+        ],
+        ids=["half", "nan", "negative", "inf"],
+    )
+    def test_generic_rejects_bad_weight_sum(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            inagaki_generic(*EX1, {FRAME_AB.subset(tuple(k)): w for k, w in weights.items()})
 
     def test_extreme_example1(self):
         assert labelled(inagaki_extreme(*EX1)) == pytest.approx(
@@ -189,9 +199,15 @@ class TestAcr:
         for pair in (EX1, EX2, EX3, ZADEH):
             assert acr_generic(*pair, beta0).is_close_to(sacr(*pair), tol=1e-12)
 
-    def test_invalid_beta_endpoints(self):
+    @pytest.mark.parametrize(
+        "beta",
+        [lambda k: 0.5, lambda k: math.nan if k == 0.0 else 1.0 - k,
+         lambda k: math.nan if k == 1.0 else 1.0 - k],
+        ids=["constant", "nan-at-0", "nan-at-1"],
+    )
+    def test_invalid_beta_endpoints(self, beta):
         with pytest.raises(InvalidBetaError):
-            acr_generic(*EX1, lambda k: 0.5)
+            acr_generic(*EX1, beta)
 
     def test_sacr_example1(self):
         a0, b0 = alpha0(0.18), beta0(0.18)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,11 +80,11 @@ class TestBuildPdb:
     def test_pool_too_small(self):
         # Pool no bigger than the truth's own set leaves nothing for Y.
         with pytest.raises(ScenarioError, match="pool"):
-            make_config(n_emitters=2).check()
+            make_config(n_emitters=2)
 
     def test_smets_rejected_by_check(self):
         with pytest.raises(ScenarioError, match="smets"):
-            make_config(rule="smets").check()
+            make_config(rule="smets")
 
     @pytest.mark.parametrize(
         "overrides",
@@ -94,7 +96,7 @@ class TestBuildPdb:
     def test_no_false_alarm_target(self, overrides):
         # No target besides the truth and the similar one can own Y.
         with pytest.raises(ScenarioError, match="pool"):
-            make_config(**overrides).check()
+            make_config(**overrides)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -127,15 +129,23 @@ class TestBuildPdb:
 
     def test_similar_needs_two_emitters(self):
         with pytest.raises(ScenarioError, match="2 emitters"):
-            make_config(emitters_per_target=(1, 4)).check()
+            make_config(emitters_per_target=(1, 4))
 
     def test_similar_equals_truth(self):
         with pytest.raises(ScenarioError):
-            make_config(similar_target=3).check()
+            make_config(similar_target=3)
 
     def test_negative_seed(self):
         with pytest.raises(ScenarioError, match="seed"):
-            make_config(seed=-1).check()
+            make_config(seed=-1)
+
+    @pytest.mark.parametrize(
+        "change,match", [(dict(seed=-1), "seed"), (dict(rule="smets"), "smets")]
+    )
+    def test_replace_checks_again(self, change, match):
+        # The CLI's --seed and --rules overrides rely on replace re-running the check.
+        with pytest.raises(ScenarioError, match=match):
+            dataclasses.replace(make_config(), **change)
 
 
 class TestGenReport:
