@@ -142,7 +142,10 @@ def _parse_scenario_config(path: str) -> ScenarioConfig:
                 ) from None
         elif f.default is dataclasses.MISSING:
             raise ScenarioError(f"{path}: missing config key {f.name!r}")
-    return ScenarioConfig(**values)
+    try:
+        return ScenarioConfig(**values)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:

@@ -29,8 +29,8 @@ class Decision:
     tie: bool
 
 
-# Rows of the member matrix expanded at once; bounds the float64 block to
-# 256 × frame-size × 8 bytes however many focal sets the bba holds.
+# Rows of the member matrix expanded at once; bounds the int64 select block
+# to 256 × frame-size × 8 bytes however many focal sets the bba holds.
 _BETP_BLOCK = 256
 
 
@@ -39,13 +39,15 @@ def betp(m: MassFunction) -> PignisticDistribution:
 
     Only defined for closed-world bbas; mass on ∅ has no pignistic home.
 
-    Each focal set's share ``mass / |A|`` is placed on its members with a
-    select (so an inf or nan mass reaches only its own members) and the
-    rows are summed with ``np.add.accumulate``, one row after another in
-    storage order, carrying the running row across blocks. That is
-    the same sequence of additions as ``probs[i] += share`` over the
-    entries, so the result is bit-for-bit that loop's; ``np.sum``, ``@``
-    and ``einsum`` sum pairwise or in BLAS order and change the last bits.
+    Each share ``mass / |A|`` is placed on its members by an integer
+    select: the 0/1 ``uint8`` member flag times the share's int64 bits is
+    ``+0.0`` or the exact share, with no float multiply, so an inf or nan
+    mass reaches only its own members. Each block's rows are summed by
+    ``np.add.reduce`` over axis 0, the running row carried in ``rows[0]``.
+    Axis 0 is the outer, strided one, so numpy adds row after row into the
+    running row in storage order: the additions of ``probs[i] += share``
+    over the entries, bit for bit. Reducing the contiguous axis would sum
+    pairwise, and ``@`` and ``einsum`` sum in BLAS order; both change bits.
     """
     # Imported here, not at module level, so commands that never call betp skip numpy.
     import numpy as np
@@ -63,14 +65,14 @@ def betp(m: MassFunction) -> PignisticDistribution:
         raise ValueError(
             "closed-world bba carries mass on ∅, which has no pignistic home"
         ) from None
+    bits = shares.view(np.int64)
     acc = np.zeros(n)
     for start in range(0, len(shares), _BETP_BLOCK):
         block = slice(start, start + _BETP_BLOCK)
         member = np.unpackbits(packed[block], axis=1, count=n, bitorder="little")
-        rows = np.where(member.view(bool), shares[block, None], 0.0)
+        rows = np.multiply(member, bits[block, None]).view(np.float64)
         rows[0] += acc
-        np.add.accumulate(rows, axis=0, out=rows)
-        acc = rows[-1]
+        acc = np.add.reduce(rows, axis=0)
     return PignisticDistribution(m.frame, tuple(acc.tolist()))
 
 

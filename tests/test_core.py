@@ -126,6 +126,23 @@ class TestValidate:
         assert not report.ok
         assert any("non-finite" in v for v in report.violations)
 
+    def test_scans_masses_without_building_entries(self):
+        width = 135
+        frame = make_frame([f"h{i}" for i in range(width)])
+        rng = random.Random(11)
+        entries = {FocalSet(rng.getrandbits(width) | 1 << 40, width): 1e-4 for _ in range(2000)}
+        entries[frame.subset(["h0", "h3"])] = math.nan
+        entries[frame.subset(["h7"])] = -0.25
+        entries[frame.subset(["h1", "h2", "h134"])] = math.inf
+        m = MassFunction(frame, entries)
+        report = validate(m)
+        assert "entries" not in m.__dict__
+        assert report.violations == (
+            "non-finite mass nan on h0∪h3",
+            "negative mass -0.25 on h7",
+            "non-finite mass inf on h1∪h2∪h134",
+        )
+
     def test_zero_masses_never_stored(self):
         m = MassFunction(FRAME_AB, {FRAME_AB.subset(["A"]): 1.0, FRAME_AB.subset(["B"]): 0.0})
         assert FRAME_AB.subset(["B"]) not in m.entries

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,7 +84,7 @@ def random_wide_bba(width, count, seed):
 
 class TestBetpExact:
     @pytest.mark.parametrize("count", [1, 255, 256, 257, 600])
-    @pytest.mark.parametrize("width", [1, 7, 8, 9, 64, 65, 135, 200])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 135, 200])
     def test_matches_reference_loop(self, width, count):
         m = random_wide_bba(width, count, seed=width * 1000 + count)
         assert betp(m).probs == reference_betp(m)
@@ -100,6 +101,32 @@ class TestBetpExact:
         assert members
         for i, v in enumerate(probs):
             assert math.isinf(v) == (i in members)
+
+    def test_nan_mass_reaches_only_its_members(self):
+        m = random_wide_bba(135, 300, seed=7)
+        entries = dict(m.entries)
+        poisoned = list(entries)[260]
+        entries[poisoned] = math.nan
+        m = MassFunction(m.frame, entries)
+        members = set(poisoned.indices())
+        assert members
+        for i, (v, ref) in enumerate(zip(betp(m).probs, reference_betp(m))):
+            assert math.isnan(v) == (i in members)
+            assert math.isnan(v) or v == ref
+
+    def test_sums_each_label_in_storage_order_not_pairwise(self):
+        # One block of 256 sets holding h0: a unit mass first, then 255 shares
+        # each below half an ulp of 1.0. Added in order they vanish; summed
+        # pairwise they add up to more than half an ulp and move the result.
+        width = 9
+        frame = make_frame([f"h{i}" for i in range(width)])
+        entries = {FocalSet(1, width): 1.0}
+        entries.update((FocalSet(1 | k << 1, width), 1e-17) for k in range(1, 256))
+        m = MassFunction(frame, entries)
+        assert betp(m).probs == reference_betp(m)
+        assert betp(m).probs[0] == 1.0
+        label0 = np.array([v / fs.cardinality for fs, v in m.entries.items()])
+        assert np.add.reduce(label0) != 1.0
 
 
 @settings(max_examples=100, deadline=None)

@@ -339,7 +339,9 @@ class TestCli:
         out = tmp_path / "o"
         result = run_cli("scenario", "--config", str(cfg), "--out", str(out), *extra)
         assert result.returncode == 2
-        assert result.stderr.startswith("belieffusion: ")
+        # A cause read from the file names the file; one from a flag does not.
+        prefix = "belieffusion: " if extra else f"belieffusion: {cfg}: "
+        assert result.stderr.startswith(prefix)
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 
