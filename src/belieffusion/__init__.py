@@ -8,6 +8,7 @@ from .core import (
     Frame,
     FrameMismatchError,
     MassFunction,
+    ScenarioError,
     ValidationReport,
     conflict,
     conjunctive,
@@ -16,7 +17,6 @@ from .core import (
     vacuous,
     validate,
 )
-from .decision import Decision, PignisticDistribution, betp, decide
 from .rules import (
     RULES,
     DegenerateError,
@@ -37,16 +37,22 @@ from .rules import (
     smets,
     yager,
 )
-from .scenario import (
-    PlatformDatabase,
-    ScenarioConfig,
-    ScenarioError,
-    ScenarioResult,
-    TrajectoryRecord,
-    build_pdb,
-    gen_report,
-    report_bba,
-    run_scenario,
-)
 
 __version__ = "0.1.0"
+
+# decision and scenario load on first access (PEP 562), so that the CLI
+# commands that never call them do not pay for importing them.
+_LAZY = {"decision": ("Decision", "PignisticDistribution", "betp", "decide"),
+         "scenario": ("PlatformDatabase", "ScenarioConfig", "ScenarioResult", "TrajectoryRecord",
+                      "build_pdb", "gen_report", "report_bba", "run_scenario")}
+__all__ = [n for n in globals() if n[0] != "_"] + [n for m, ns in _LAZY.items() for n in (m, *ns)]
+
+
+def __getattr__(name: str):
+    import importlib
+
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            mod = importlib.import_module(f"{__name__}.{module}")
+            return mod if name == module else getattr(mod, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

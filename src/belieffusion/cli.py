@@ -17,8 +17,8 @@ anything), 3 frame mismatch, 4 total conflict or degenerate combination, 5 I/O
 error. Each failure prints one ``belieffusion: <cause>`` line; diagnostics go
 to stderr, data to stdout.
 
-Only ``betp`` and ``scenario`` load numpy; ``combine``, ``conflict`` and
-``rules`` start without it.
+``combine``, ``conflict`` and ``rules`` load neither ``decision``, ``scenario``
+nor numpy; ``betp`` loads ``decision`` and numpy, ``scenario`` all three.
 """
 
 from __future__ import annotations
@@ -31,17 +31,14 @@ import sys
 import typing
 from typing import Any, Optional, Sequence
 
-from . import core, decision  # looked up per call, so wrappers installed on them apply
-from .core import FrameMismatchError, MassFunction, validate
+from . import core  # looked up per call, so wrappers installed on it apply
+from .core import FrameMismatchError, MassFunction, ScenarioError, validate
 from .massio import MassFormatError, mass_to_dict, read_json, read_mass, write_mass
 from .rules import RULES, DegenerateError, TotalConflictError
-from .scenario import (
-    ScenarioConfig,
-    ScenarioError,
-    run_scenario,
-    write_metadata,
-    write_trajectory_csv,
-)
+
+# decision and scenario are imported by the commands that use them, so the others skip them.
+if typing.TYPE_CHECKING:
+    from .scenario import ScenarioConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -94,6 +91,8 @@ def _cmd_conflict(args: argparse.Namespace) -> int:
 
 
 def _cmd_betp(args: argparse.Namespace) -> int:
+    from . import decision  # decision.betp is looked up per call, so a wrapper on it applies
+
     m = _load_closed_world(args.bba)
     p = decision.betp(m)
     for label, prob in zip(m.frame.labels, p.probs):
@@ -119,6 +118,8 @@ def _typed(value: Any, hint: Any) -> Any:
 def _parse_scenario_config(path: str) -> ScenarioConfig:
     """A config file holds any ``ScenarioConfig`` fields by name; the fields
     without a default are required."""
+    from .scenario import ScenarioConfig
+
     doc = read_json(path, ScenarioError)
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
@@ -149,6 +150,8 @@ def _parse_scenario_config(path: str) -> ScenarioConfig:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from .scenario import run_scenario, write_metadata, write_trajectory_csv
+
     config = _parse_scenario_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)

@@ -21,6 +21,7 @@ __all__ = [
     "ConflictDecomposition",
     "ValidationReport",
     "FrameMismatchError",
+    "ScenarioError",
     "make_frame",
     "validate",
     "vacuous",
@@ -42,6 +43,10 @@ Pairs = list[tuple[int, int, float, float]]
 
 class FrameMismatchError(ValueError):
     """Two mass functions defined on different frames were combined."""
+
+
+class ScenarioError(ValueError):
+    """The scenario configuration is infeasible or inconsistent; raised when one is built."""
 
 
 @dataclass(frozen=True)

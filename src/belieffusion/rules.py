@@ -79,7 +79,9 @@ def dempster(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     """Normalized conjunctive rule: divide each non-empty conjunctive mass by
     their sum (1 - k12, free of input drift). Raises TotalConflictError at k12 = 1."""
     _, out, disjoint = _split(m1, m2)
-    norm = sum(out.values())
+    norm = 0.0
+    for v in out.values():  # left to right, not sum(): it compensates since Python 3.12
+        norm += v
     if norm <= TOTAL_CONFLICT_TOL:
         raise TotalConflictError(
             "total conflict between sources (k12=1); Dempster's rule cannot be used"
@@ -155,7 +157,9 @@ def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
         return out, disjoint
     full = (1 << m1.frame.size) - 1
     theta_mass = out.pop(full, 0.0)
-    s = sum(out.values())
+    s = 0.0
+    for v in out.values():  # left to right, as in dempster
+        s += v
     if s == 0.0:
         raise DegenerateError("no focal element other than Θ can receive the conflict")
     factor = 1.0 + k12 / s

@@ -22,6 +22,7 @@ from typing import Optional
 
 # conflict is unused here but stays bound: tracing tools patch it by name.
 from .core import FocalSet, Frame, MassFunction, conflict, make_frame, vacuous  # noqa: F401
+from .core import ScenarioError  # lives in core so the CLI can map it without this module
 from .decision import betp, decide
 from .rules import RULES, TotalConflictError, _step
 
@@ -53,10 +54,6 @@ TRAJECTORY_HEADER = [
     "decided",
     "tie",
 ]
-
-
-class ScenarioError(ValueError):
-    """The scenario configuration is infeasible or inconsistent; raised when one is built."""
 
 
 @dataclass(frozen=True)

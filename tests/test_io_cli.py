@@ -417,24 +417,25 @@ ACCEPTANCE_CONFIG = {
 
 
 @pytest.mark.parametrize(
-    "argv,loads_numpy",
+    "argv,loads_numpy,modules",
     [
-        (None, False),
-        (["combine", "--rule", "pcr", "{m1}", "{m2}"], False),
-        (["conflict", "{m1}", "{m2}"], False),
-        (["rules"], False),
-        (["betp", "{m1}"], True),
-        (["scenario", "--config", "{config}", "--out", "{out}"], True),
+        (None, False, []),
+        (["combine", "--rule", "pcr", "{m1}", "{m2}"], False, []),
+        (["conflict", "{m1}", "{m2}"], False, []),
+        (["rules"], False, []),
+        (["betp", "{m1}"], True, ["decision"]),
+        (["scenario", "--config", "{config}", "--out", "{out}"], True, ["decision", "scenario"]),
     ],
     ids=["import", "combine", "conflict", "rules", "betp", "scenario"],
 )
 def test_numpy_loaded_only_by_betp_and_scenario(
-    tmp_path, capsys, example_files, argv, loads_numpy
+    tmp_path, capsys, example_files, argv, loads_numpy, modules
 ):
     """In a fresh interpreter (this one imported numpy through conftest),
-    importing the package and the CLI loads no numpy, nor do the commands that
-    never call ``betp`` or ``run_scenario``; the two that do load it, and
-    produce the same output as an in-process run."""
+    importing the package and the CLI loads no numpy and neither ``decision``
+    nor ``scenario``, nor do the commands that never call them; ``betp`` loads
+    ``decision`` and numpy, ``scenario`` all three, and both produce the same
+    output as an in-process run."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(ACCEPTANCE_CONFIG), encoding="utf-8")
     paths = dict(m1=example_files[0], m2=example_files[1], config=str(config))
@@ -444,10 +445,12 @@ def test_numpy_loaded_only_by_betp_and_scenario(
         "if len(sys.argv) > 1:\n"
         "    assert belieffusion.cli.main(sys.argv[1:]) == 0\n"
         "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "print([m for m in ('decision', 'scenario') if 'belieffusion.' + m in sys.modules],\n"
+        "      file=sys.stderr)\n"
     )
     args = [a.format(out=str(tmp_path / "fresh"), **paths) for a in argv or []]
     result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
-    assert result.stderr == f"{loads_numpy}\n"
+    assert result.stderr == f"{loads_numpy}\n{modules}\n"
     if argv is None:
         return
     assert main([a.format(out=str(tmp_path / "here"), **paths) for a in argv]) == 0
@@ -456,3 +459,53 @@ def test_numpy_loaded_only_by_betp_and_scenario(
         fresh, here = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
                        for d in ("fresh", "here"))
         assert fresh and fresh == here
+
+
+# The names the package exported when it imported every submodule eagerly, by
+# defining module.
+PACKAGE_NAMES = {
+    "core": ["ConflictDecomposition", "FocalSet", "Frame", "FrameMismatchError",
+             "MassFunction", "ValidationReport", "conflict", "conjunctive", "disjunctive",
+             "make_frame", "vacuous", "validate"],
+    "decision": ["Decision", "PignisticDistribution", "betp", "decide"],
+    "rules": ["RULES", "DegenerateError", "InvalidBetaError", "TotalConflictError",
+              "acr_generic", "acr_inagaki_weights", "alpha0", "beta0", "dempster", "dsmh",
+              "dubois_prade", "inagaki_extreme", "inagaki_generic", "pcr", "pcr_shares",
+              "sacr", "smets", "yager"],
+    "scenario": ["PlatformDatabase", "ScenarioConfig", "ScenarioError", "ScenarioResult",
+                 "TrajectoryRecord", "build_pdb", "gen_report", "report_bba", "run_scenario"],
+}
+
+
+def test_package_names_resolve_on_first_access():
+    """In a fresh interpreter, a bare ``import belieffusion`` loads neither
+    ``decision`` nor ``scenario``; a name of either, or either module as an
+    attribute, loads it on first access, and every exported name is the object
+    its defining module holds."""
+    code = (
+        "import json, sys\n"
+        "import belieffusion as bf\n"
+        "lazy = ['belieffusion.decision', 'belieffusion.scenario']\n"
+        "assert not any(m in sys.modules for m in lazy)\n"
+        "assert bf.betp is sys.modules['belieffusion.decision'].betp\n"
+        "assert bf.decision is sys.modules['belieffusion.decision']\n"
+        "assert 'belieffusion.scenario' not in sys.modules\n"
+        "assert bf.scenario.ScenarioError is bf.ScenarioError is bf.core.ScenarioError\n"
+        "for module, names in json.loads(sys.argv[1]).items():\n"
+        "    for name in names:\n"
+        "        assert getattr(bf, name) is getattr(getattr(bf, module), name), name\n"
+        "star = {}\n"
+        "exec('from belieffusion import *', star)\n"
+        "assert set(json.loads(sys.argv[2])) <= set(star)\n"
+        "try:\n"
+        "    bf.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    exported = [*PACKAGE_NAMES, *(n for names in PACKAGE_NAMES.values() for n in names)]
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(PACKAGE_NAMES), json.dumps(exported)],
+        capture_output=True, text=True,
+    )
+    assert result.stderr == ""
+    assert result.stdout == "module 'belieffusion' has no attribute 'no_such_name'\n"
