@@ -35,7 +35,7 @@ def main() -> None:
     )
     result = run_scenario(config)
 
-    truth_emitters = result.pdb.emitter_sets[config.truth_index]
+    truth_emitters = range(config.emitters_per_target[0])
     print(f"rule = {rule}, seed = {config.seed}, truth = target 4, "
           f"near twin = target 5  (FA = false alarm)\n")
     print(f"{'step':>4} {'emitter':>7} {'FA':>3} {'owners':>6} {'k12':>7} "

@@ -202,7 +202,10 @@ class MassFunction:
             yield FocalSet(z, self.frame.size), self._table[z]
 
     def total(self) -> float:
-        return sum(self._table.values())
+        total = 0.0
+        for v in self._table.values():  # left to right, not sum(): it compensates since 3.12
+            total += v
+        return total
 
     def is_close_to(self, other: MassFunction, tol: float = SUM_TOL) -> bool:
         """Entrywise comparison over the union of stored focal sets."""
@@ -226,7 +229,7 @@ class ConflictDecomposition:
     pairs: tuple[tuple[FocalSet, FocalSet, float], ...]
 
 
-def validate(m: MassFunction, tol: float = SUM_TOL) -> ValidationReport:
+def validate(m: MassFunction) -> ValidationReport:
     """Check the mass-function invariants, returning a report (never raising)."""
     violations: list[str] = []
     # The int table, not `entries`: boxing every key costs more than the scan.
@@ -239,7 +242,7 @@ def validate(m: MassFunction, tol: float = SUM_TOL) -> ValidationReport:
             continue
         violations.append(f"{kind} mass {v!r} on {FocalSet(z, m.frame.size).label(m.frame)}")
     total = m.total()
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > SUM_TOL:
         violations.append(f"masses sum to {total!r}, not 1")
     if not m.open_world and 0 in m._table:
         violations.append(f"closed-world bba carries mass {m._table[0]!r} on ∅")

@@ -114,15 +114,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class PlatformDatabase:
-    """Targets with their emitter sets, plus the inverse emitter → owners map
-    and the two sampling pools: X (the truth's emitters) and Y (emitters of
-    targets that share hardware with the truth, minus X)."""
+    """The candidate targets as a frame, and for each emitter the targets
+    that own it. The two sampling pools are not stored: they are ranges of
+    the config (see ``build_pdb``)."""
 
     frame: Frame
-    emitter_sets: tuple[frozenset[int], ...]
     emitter_index: dict[int, frozenset[int]]
-    x_emitters: tuple[int, ...]
-    y_emitters: tuple[int, ...]
 
 
 def _target_labels(n: int) -> list[str]:
@@ -131,7 +128,8 @@ def _target_labels(n: int) -> list[str]:
 
 
 def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatabase:
-    """Generate a structured platform database honoring the configuration.
+    """Generate a structured platform database honoring the configuration,
+    building each emitter's owner set in one pass.
 
     With ``(lo, hi) = emitters_per_target`` the ownership layout is:
 
@@ -154,43 +152,27 @@ def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatab
     is non-empty and every target owns an emitter.
     """
     lo, hi = config.emitters_per_target
-    n = config.n_targets
     truth, similar = config.truth_index, config.similar_target
-    x = range(lo)
     common = int(rng.integers(lo))
-    sets: list[set[int]] = [{common} for _ in range(n)]
-    sets[truth] = set(x)
-    if similar is not None:
-        sets[similar] = set(x) - {common}
-
-    others = [t for t in range(n) if t not in (truth, similar)]
+    others = [t for t in range(config.n_targets) if t not in (truth, similar)]
+    x_owners = frozenset({truth} if similar is None else {truth, similar})
+    index = {e: x_owners for e in range(lo)}
+    index[common] = frozenset([truth, *others])
     breadth = min(hi, len(others))
     order = itertools.cycle(int(t) for t in rng.permutation(others))
     for e in range(lo, config.n_emitters):
-        for _ in range(breadth):
-            sets[next(order)].add(e)
-
-    emitter_sets = tuple(frozenset(s) for s in sets)
-    index: dict[int, set[int]] = {}
-    for i, s in enumerate(emitter_sets):
-        for e in s:
-            index.setdefault(e, set()).add(i)
-    return PlatformDatabase(
-        frame=make_frame(_target_labels(n)),
-        emitter_sets=emitter_sets,
-        emitter_index={e: frozenset(t) for e, t in index.items()},
-        x_emitters=tuple(x),
-        y_emitters=tuple(range(lo, config.n_emitters)),
-    )
+        index[e] = frozenset(itertools.islice(order, breadth))
+    return PlatformDatabase(make_frame(_target_labels(config.n_targets)), index)
 
 
 def gen_report(
     pdb: PlatformDatabase, config: ScenarioConfig, rng: np.random.Generator
 ) -> tuple[int, FocalSet]:
     """Draw one sensor report: with probability 1 - pfa an emitter uniform
-    over X, otherwise uniform over Y; the reported set is every target
-    owning that emitter."""
-    pool = pdb.y_emitters if rng.random() < config.pfa else pdb.x_emitters
+    over X = ``range(lo)``, otherwise uniform over Y = ``range(lo,
+    n_emitters)``; the reported set is every target owning that emitter."""
+    lo = config.emitters_per_target[0]
+    pool = range(lo, config.n_emitters) if rng.random() < config.pfa else range(lo)
     emitter = pool[int(rng.integers(len(pool)))]
     report_set = pdb.frame.subset_of_indices(pdb.emitter_index[emitter])
     return emitter, report_set

@@ -13,6 +13,10 @@ runs are the ones among seeds 0-9 whose bytes depend on the summation
 order: sacr seed 4 changes if k12 is read from the ∩-table instead of being
 summed over the sorted disjoint pairs, and dubois-prade seed 9 changes if the
 disjoint pairs are visited sorted instead of in storage order.
+
+The last two runs pin the platform database on shapes the others miss: one
+without a similar target, so the truth alone owns its non-common emitters,
+and one whose truth owns a single emitter, the common one.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ TRAJECTORIES = [
      "55930e6ec0f05b851de9f47dbb557f1f17e8e2e3f5ecd719116acab58c649968"),
     ("dubois-prade", dict(WIDE, seed=9),
      "82a0bbd44ac26a9dcdda470d6794a3795224cb43db31b3021147f4c97de97299"),
+    ("pcr", dict(DESK, similar_target=None, seed=1),
+     "97b1e6ca0e5c50983f1d16a1c07330582e8fa61945e11799eeaf1c5adafe9b6d"),
+    ("yager", dict(DESK, similar_target=None, emitters_per_target=(1, 9), seed=2),
+     "26a3bba7018bf5d334c6a123c92c1e7700cf3803abdaedc8c9f58148194e1d6b"),
 ]
 
 METADATA_SHA256 = "57e63079bdd55c56f3608c36408e0640221e910aac7ead307fdf6d65e233d986"

@@ -368,14 +368,16 @@ def test_rule_registry_names():
 
 def test_normalizing_sums_run_left_to_right():
     """Ten masses of 0.1 sum to 0.9999999999999999 left to right but to 1.0
-    compensated, as builtin sum() does since Python 3.12. Dempster and
-    Inagaki's extreme rule give the left-to-right bits on every Python."""
+    compensated, as builtin sum() does since Python 3.12. MassFunction.total,
+    Dempster and Inagaki's extreme rule give the left-to-right bits on every
+    Python."""
     frame = make_frame(list("ABCDEFGHIJK"))
     tenths = bba(frame, {c: 0.1 for c in "ABCDEFGHIJ"})
     norm = 0.0
     for _ in range(10):
         norm += 0.1
     assert norm != math.fsum([0.1] * 10)
+    assert tenths.total() == norm
     out = dempster(tenths, vacuous(frame))
     assert list(out.items()) == [(fs, 0.1 / norm) for fs, _ in tenths.items()]
     # Each tenth keeps 0.07 and puts 0.03 on ∅. Summed left to right, the kept

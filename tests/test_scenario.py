@@ -42,40 +42,58 @@ def fresh_rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def owned(pdb, target) -> frozenset[int]:
+    """The emitters a target owns, read off the emitter → owners index."""
+    return frozenset(e for e, owners in pdb.emitter_index.items() if target in owners)
+
+
+def pools(pdb, truth) -> tuple[frozenset[int], frozenset[int]]:
+    """Reference pools: X is the truth's set; Y is every emitter of a target
+    that shares hardware with the truth, minus X."""
+    x = owned(pdb, truth)
+    y: set[int] = set()
+    for t in range(pdb.frame.size):
+        s = owned(pdb, t)
+        if t != truth and s & x:
+            y |= s - x
+    return x, frozenset(y)
+
+
 class TestBuildPdb:
     def test_deterministic(self):
         cfg = make_config()
         pdb1 = build_pdb(cfg, fresh_rng(cfg.seed))
         pdb2 = build_pdb(cfg, fresh_rng(cfg.seed))
-        assert pdb1.emitter_sets == pdb2.emitter_sets
-        assert pdb1.x_emitters == pdb2.x_emitters
-        assert pdb1.y_emitters == pdb2.y_emitters
+        assert pdb1.frame == pdb2.frame
+        assert pdb1.emitter_index == pdb2.emitter_index
+        assert pools(pdb1, cfg.truth_index) == pools(pdb2, cfg.truth_index)
 
     def test_inverse_index(self):
-        pdb = build_pdb(make_config(), fresh_rng())
+        cfg = make_config()
+        pdb = build_pdb(cfg, fresh_rng())
+        assert set(pdb.emitter_index) == set(range(cfg.n_emitters))
         for e, owners in pdb.emitter_index.items():
-            for t in owners:
-                assert e in pdb.emitter_sets[t]
-        for t, emitters in enumerate(pdb.emitter_sets):
-            assert emitters
-            for e in emitters:
-                assert t in pdb.emitter_index[e]
+            assert isinstance(owners, frozenset)
+            assert owners <= set(range(cfg.n_targets))
+        for t in range(cfg.n_targets):
+            assert owned(pdb, t)
 
     def test_similar_target_symmetric_difference(self):
         cfg = make_config()
         for seed in range(20):
             pdb = build_pdb(cfg, fresh_rng(seed))
-            truth = pdb.emitter_sets[cfg.truth_index]
-            similar = pdb.emitter_sets[cfg.similar_target]
+            truth = owned(pdb, cfg.truth_index)
+            similar = owned(pdb, cfg.similar_target)
             assert len(truth ^ similar) == 1
             assert similar < truth  # the truth keeps one discriminating emitter
 
     def test_pools_disjoint_and_nonempty(self):
+        cfg = make_config()
         for seed in range(20):
-            pdb = build_pdb(make_config(), fresh_rng(seed))
-            assert pdb.x_emitters
-            assert pdb.y_emitters
-            assert not set(pdb.x_emitters) & set(pdb.y_emitters)
+            x, y = pools(build_pdb(cfg, fresh_rng(seed)), cfg.truth_index)
+            assert x
+            assert y
+            assert not x & y
 
     def test_pool_too_small(self):
         # Pool no bigger than the truth's own set leaves nothing for Y.
@@ -113,19 +131,16 @@ class TestBuildPdb:
         ],
     )
     def test_pools_match_definition(self, overrides):
-        # Reference: X is the truth's set; Y is every emitter of a target that
-        # shares hardware with the truth, minus X.
+        # gen_report draws from ranges of the config; the reference pools,
+        # derived from the ownership, must be those ranges.
         cfg = make_config(**overrides)
+        lo = cfg.emitters_per_target[0]
         for seed in range(50):
             pdb = build_pdb(cfg, fresh_rng(seed))
-            x = pdb.emitter_sets[cfg.truth_index]
-            y: set[int] = set()
-            for i, s in enumerate(pdb.emitter_sets):
-                if i != cfg.truth_index and s & x:
-                    y |= s - x
-            assert pdb.x_emitters == tuple(sorted(x))
-            assert pdb.y_emitters == tuple(sorted(y))
-            assert all(pdb.emitter_sets)
+            x, y = pools(pdb, cfg.truth_index)
+            assert tuple(sorted(x)) == tuple(range(lo))
+            assert tuple(sorted(y)) == tuple(range(lo, cfg.n_emitters))
+            assert all(owned(pdb, t) for t in range(cfg.n_targets))
 
     def test_similar_needs_two_emitters(self):
         with pytest.raises(ScenarioError, match="2 emitters"):
@@ -155,16 +170,17 @@ class TestGenReport:
         pdb = build_pdb(cfg, rng)
         for _ in range(50):
             emitter, report_set = gen_report(pdb, cfg, rng)
-            assert emitter in pdb.x_emitters
+            assert emitter in owned(pdb, cfg.truth_index)
             assert report_set.contains(cfg.truth_index)
 
     def test_pure_false_alarms_miss_truth_emitters(self):
         cfg = make_config(pfa=1.0)
         rng = fresh_rng(cfg.seed)
         pdb = build_pdb(cfg, rng)
+        y = pools(pdb, cfg.truth_index)[1]
         for _ in range(50):
             emitter, report_set = gen_report(pdb, cfg, rng)
-            assert emitter in pdb.y_emitters
+            assert emitter in y
             assert not report_set.is_empty
 
     def test_false_alarm_rate(self):
@@ -172,9 +188,8 @@ class TestGenReport:
         rng = fresh_rng(1)
         pdb = build_pdb(cfg, rng)
         draws = 10_000
-        y_draws = sum(
-            gen_report(pdb, cfg, rng)[0] in pdb.y_emitters for _ in range(draws)
-        )
+        y = pools(pdb, cfg.truth_index)[1]
+        y_draws = sum(gen_report(pdb, cfg, rng)[0] in y for _ in range(draws))
         # binomial 3σ ≈ 0.014 around 0.3
         assert 0.29 <= y_draws / draws <= 0.31
 
