@@ -2,41 +2,9 @@
 rules, a pignistic decision layer, and a sequential target-identification
 simulator."""
 
-from .core import (
-    ConflictDecomposition,
-    FocalSet,
-    Frame,
-    FrameMismatchError,
-    MassFunction,
-    ScenarioError,
-    ValidationReport,
-    conflict,
-    conjunctive,
-    disjunctive,
-    make_frame,
-    vacuous,
-    validate,
-)
-from .rules import (
-    RULES,
-    DegenerateError,
-    InvalidBetaError,
-    TotalConflictError,
-    acr_generic,
-    acr_inagaki_weights,
-    alpha0,
-    beta0,
-    dempster,
-    dsmh,
-    dubois_prade,
-    inagaki_extreme,
-    inagaki_generic,
-    pcr,
-    pcr_shares,
-    sacr,
-    smets,
-    yager,
-)
+# The public names of core and rules are listed once, in each module's __all__.
+from .core import *
+from .rules import *
 
 __version__ = "0.1.0"
 

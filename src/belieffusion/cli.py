@@ -12,10 +12,10 @@ Subcommands::
 Exit codes: 0 success, 2 bad command line (unknown option or choice, missing
 argument) or parse/validation/config failure (an unknown key in a bba file or
 config included; a config is checked when built, so ``scenario`` checks every
-run, ``smets`` and a repeated ``--rules`` entry included, before it writes
-anything), 3 frame mismatch, 4 total conflict or degenerate combination, 5 I/O
-error. Each failure prints one ``belieffusion: <cause>`` line; diagnostics go
-to stderr, data to stdout.
+run, ``smets`` and an empty or repeated ``--rules`` entry included, before it
+writes anything), 3 frame mismatch, 4 total conflict or degenerate
+combination, 5 I/O error. Each failure prints one ``belieffusion: <cause>``
+line; diagnostics go to stderr, data to stdout.
 
 ``combine``, ``conflict`` and ``rules`` load neither ``decision``, ``scenario``
 nor numpy; ``betp`` loads ``decision`` and numpy, ``scenario`` all three.
@@ -155,10 +155,11 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     config = _parse_scenario_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    rule_list = [r.strip() for r in args.rules.split(",")] if args.rules else [config.rule]
-    if len(set(rule_list)) < len(rule_list):
+    # None, not falsiness: an empty --rules is an empty rule name, not "use the config's rule".
+    rules = [config.rule] if args.rules is None else [r.strip() for r in args.rules.split(",")]
+    runs = [dataclasses.replace(config, rule=rule) for rule in rules]
+    if len(set(rules)) < len(rules):
         raise ScenarioError(f"--rules lists a rule more than once: {args.rules!r}")
-    runs = [dataclasses.replace(config, rule=rule) for rule in rule_list]
 
     os.makedirs(args.out, exist_ok=True)
     for run in runs:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
 
 __all__ = [
@@ -173,7 +174,7 @@ class MassFunction:
     set (the conjunctive operator, Smets' rule); closed-world inputs to any
     combination rule must have ``open_world=False``. The masses are stored
     in ``_table``, keyed by ``int`` bit mask in insertion order; ``entries``
-    is a view of it keyed by ``FocalSet``, built on first read.
+    is a read-only view of it keyed by ``FocalSet``, built on first read.
     """
 
     frame: Frame
@@ -189,9 +190,13 @@ class MassFunction:
         self.__dict__.update(frame=frame, _table=table, open_world=open_world)
 
     @cached_property
-    def entries(self) -> dict[FocalSet, float]:
+    def entries(self) -> Mapping[FocalSet, float]:
         width = self.frame.size
-        return {FocalSet(z, width): v for z, v in self._table.items()}
+        return MappingProxyType({FocalSet(z, width): v for z, v in self._table.items()})
+
+    def __getstate__(self) -> dict:
+        # The cached view is rebuilt on demand, and a mappingproxy does not pickle.
+        return {k: v for k, v in self.__dict__.items() if k != "entries"}
 
     def mass(self, fs: FocalSet) -> float:
         return self._table.get(fs.bits, 0.0) if fs.width == self.frame.size else 0.0

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -154,6 +156,13 @@ class TestMassFunctionStorage:
         m = MassFunction(FRAME_AB, {ab: 0.25, a: 0.5, b: 0.25})
         assert list(m.entries.items()) == [(ab, 0.25), (a, 0.5), (b, 0.25)]
         assert m.entries is m.entries
+        # Read-only, so it cannot disagree with the table the rules read.
+        with pytest.raises(TypeError):
+            m.entries[b] = 0.5
+        assert m.mass(b) == 0.25 and validate(m).ok
+        # The cached view is left out of the state, so a read one still copies.
+        for again in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert again._table == m._table and again.entries == m.entries
 
     def test_zero_masses_dropped_from_int_tables(self):
         m = core._mass(FRAME_AB, {0b11: 0.0, 0b01: 1.0, 0b10: -0.0})

@@ -318,22 +318,26 @@ class TestCli:
         assert content.strip() == "step,rule,emitter,set_size,k12,betp_truth,betp_similar,decided,tie"
 
     @pytest.mark.parametrize(
-        "overrides,extra",
+        "overrides,extra,cause",
         [
-            ({"n_emitters": 2}, ()),
-            ({}, ("--rules", "pcr,smets")),
-            ({"rule": "smets"}, ()),
-            ({"n_targets": 1, "truth_index": 0, "similar_target": None}, ()),
-            ({"n_targets": 2, "truth_index": 0, "similar_target": 1}, ()),
-            ({}, ("--rules", "pcr,pcr")),
-            ({"seed": 2**64}, ()),
+            ({"n_emitters": 2}, (), "cannot supply"),
+            ({}, ("--rules", "pcr,smets"), "smets produces open-world states"),
+            ({"rule": "smets"}, (), "smets produces open-world states"),
+            ({"n_targets": 1, "truth_index": 0, "similar_target": None}, (), "pool is empty"),
+            ({"n_targets": 2, "truth_index": 0, "similar_target": 1}, (), "pool is empty"),
+            ({}, ("--rules", "pcr,pcr"), "more than once: 'pcr,pcr'"),
+            ({"seed": 2**64}, (), "unsigned 64-bit"),
             # A 401-digit seed used to run, then fail writing a file named after it.
-            ({"seed": 10**400}, ()),
+            ({"seed": 10**400}, (), "unsigned 64-bit"),
+            # An empty --rules, as an unset shell variable gives, used to run the config's rule.
+            ({}, ("--rules", ""), "unknown rule ''"),
+            ({}, ("--rules", ","), "unknown rule ''"),
         ],
         ids=["pool-too-small", "rules-smets", "config-smets", "one-target", "no-other-target",
-             "rules-duplicate", "seed-past-u64", "seed-401-digits"],
+             "rules-duplicate", "seed-past-u64", "seed-401-digits", "rules-empty",
+             "rules-empty-entries"],
     )
-    def test_scenario_infeasible_config_exit_2(self, tmp_path, overrides, extra):
+    def test_scenario_infeasible_config_exit_2(self, tmp_path, overrides, extra, cause):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(SMALL_CONFIG, **overrides)), encoding="utf-8")
         out = tmp_path / "o"
@@ -342,6 +346,7 @@ class TestCli:
         # A cause read from the file names the file; one from a flag does not.
         prefix = "belieffusion: " if extra else f"belieffusion: {cfg}: "
         assert result.stderr.startswith(prefix)
+        assert cause in result.stderr
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 
@@ -461,17 +466,18 @@ def test_numpy_loaded_only_by_betp_and_scenario(
         assert fresh and fresh == here
 
 
-# The names the package exported when it imported every submodule eagerly, by
-# defining module.
+# Every name the package exports, by defining module: the names of core and
+# rules, which it re-exports by their __all__, and the lazy names of decision
+# and scenario.
 PACKAGE_NAMES = {
     "core": ["ConflictDecomposition", "FocalSet", "Frame", "FrameMismatchError",
-             "MassFunction", "ValidationReport", "conflict", "conjunctive", "disjunctive",
-             "make_frame", "vacuous", "validate"],
+             "MassFunction", "SUM_TOL", "ValidationReport", "conflict", "conjunctive",
+             "disjunctive", "make_frame", "vacuous", "validate"],
     "decision": ["Decision", "PignisticDistribution", "betp", "decide"],
-    "rules": ["RULES", "DegenerateError", "InvalidBetaError", "TotalConflictError",
-              "acr_generic", "acr_inagaki_weights", "alpha0", "beta0", "dempster", "dsmh",
-              "dubois_prade", "inagaki_extreme", "inagaki_generic", "pcr", "pcr_shares",
-              "sacr", "smets", "yager"],
+    "rules": ["RULES", "ConflictShare", "DegenerateError", "InvalidBetaError",
+              "TotalConflictError", "acr_generic", "acr_inagaki_weights", "alpha0", "beta0",
+              "dempster", "dsmh", "dubois_prade", "inagaki_extreme", "inagaki_generic", "pcr",
+              "pcr_shares", "sacr", "smets", "yager"],
     "scenario": ["PlatformDatabase", "ScenarioConfig", "ScenarioError", "ScenarioResult",
                  "TrajectoryRecord", "build_pdb", "gen_report", "report_bba", "run_scenario"],
 }

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from belieffusion import (
     DegenerateError,
+    FrameMismatchError,
     InvalidBetaError,
     MassFunction,
     TotalConflictError,
@@ -133,12 +134,18 @@ class TestInagaki:
             ({"A": 1.0, "B": math.nan}, "non-negative"),
             ({"A": 1.5, "B": -0.5}, "non-negative"),
             ({"A": math.inf}, "sum"),
+            ({"": 1.0}, "non-empty sets only"),
         ],
-        ids=["half", "nan", "negative", "inf"],
+        ids=["half", "nan", "negative", "inf", "empty-set"],
     )
     def test_generic_rejects_bad_weight_sum(self, weights, match):
         with pytest.raises(ValueError, match=match):
             inagaki_generic(*EX1, {FRAME_AB.subset(tuple(k)): w for k, w in weights.items()})
+
+    def test_generic_rejects_weight_from_another_frame(self):
+        wide = make_frame(["A", "B", "C"]).subset(["A"])
+        with pytest.raises(FrameMismatchError):
+            inagaki_generic(*EX1, {wide: 1.0})
 
     def test_extreme_example1(self):
         assert labelled(inagaki_extreme(*EX1)) == pytest.approx(
@@ -200,13 +207,16 @@ class TestAcr:
             assert acr_generic(*pair, beta0).is_close_to(sacr(*pair), tol=1e-12)
 
     @pytest.mark.parametrize(
-        "beta",
-        [lambda k: 0.5, lambda k: math.nan if k == 0.0 else 1.0 - k,
-         lambda k: math.nan if k == 1.0 else 1.0 - k],
-        ids=["constant", "nan-at-0", "nan-at-1"],
+        "beta,match",
+        [(lambda k: 0.5, r"beta\(0\)=1"),
+         (lambda k: math.nan if k == 0.0 else 1.0 - k, r"beta\(0\)=1"),
+         (lambda k: math.nan if k == 1.0 else 1.0 - k, r"beta\(0\)=1"),
+         # Admissible endpoints, but 1.4104 at EX1's k12 = 0.18.
+         (lambda k: 1.0 - k + 4.0 * k * (1.0 - k), r"outside \[0, 1\]")],
+        ids=["constant", "nan-at-0", "nan-at-1", "above-1-between"],
     )
-    def test_invalid_beta_endpoints(self, beta):
-        with pytest.raises(InvalidBetaError):
+    def test_invalid_beta_endpoints(self, beta, match):
+        with pytest.raises(InvalidBetaError, match=match):
             acr_generic(*EX1, beta)
 
     def test_sacr_example1(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -155,7 +156,24 @@ class TestBuildPdb:
             make_config(seed=-1)
 
     @pytest.mark.parametrize(
-        "change,match", [(dict(seed=-1), "seed"), (dict(rule="smets"), "smets")]
+        "change,match",
+        [
+            (dict(seed=-1), "seed"),
+            (dict(rule="smets"), "smets"),
+            pytest.param(dict(n_targets=0), "n_targets must be positive", id="n-targets-0"),
+            pytest.param(dict(emitters_per_target=(0, 3)), r"positive \(lo, hi\) range",
+                         id="lo-0"),
+            pytest.param(dict(emitters_per_target=(4, 3)), r"positive \(lo, hi\) range",
+                         id="lo-above-hi"),
+            pytest.param(dict(truth_index=99), "truth_index outside", id="truth-outside"),
+            pytest.param(dict(similar_target=99), "similar_target outside", id="similar-outside"),
+            pytest.param(dict(pfa=1.5), "pfa must lie", id="pfa-above-1"),
+            pytest.param(dict(pfa=math.nan), "pfa must lie", id="pfa-nan"),
+            pytest.param(dict(n_reports=-1), "n_reports must be non-negative",
+                         id="n-reports-negative"),
+            pytest.param(dict(report_mass=0.0), "report_mass must lie", id="report-mass-0"),
+            pytest.param(dict(rule="nope"), "unknown rule 'nope'", id="rule-unknown"),
+        ],
     )
     def test_replace_checks_again(self, change, match):
         # The CLI's --seed and --rules overrides rely on replace re-running the check.
