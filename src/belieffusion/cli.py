@@ -18,7 +18,9 @@ combination, 5 I/O error. Each failure prints one ``belieffusion: <cause>``
 line; diagnostics go to stderr, data to stdout.
 
 ``combine``, ``conflict`` and ``rules`` load neither ``decision``, ``scenario``
-nor numpy; ``betp`` loads ``decision`` and numpy, ``scenario`` all three.
+nor numpy; ``betp`` loads ``decision`` and numpy, ``scenario`` all three. Both
+modules import numpy when they load, so only the commands that use them import
+them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 import os
 import sys
 import typing
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import core  # looked up per call, so wrappers installed on it apply
 from .core import FrameMismatchError, MassFunction, ScenarioError, validate
@@ -100,52 +102,17 @@ def _cmd_betp(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _typed(value: Any, hint: Any) -> Any:
-    """A JSON config value as the field type ``hint`` (int, float, str, a
-    tuple from an array, or Optional); raises TypeError on any other value.
-    A bool is not a number, and a float field also takes an integer."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Union:
-        return None if value is None else _typed(value, args[0])
-    if typing.get_origin(hint) is tuple:
-        if isinstance(value, list) and len(value) == len(args):
-            return tuple(_typed(v, a) for v, a in zip(value, args))
-    elif type(value) is hint or (hint is float and type(value) is int):
-        return hint(value)
-    raise TypeError
-
-
 def _parse_scenario_config(path: str) -> ScenarioConfig:
     """A config file holds any ``ScenarioConfig`` fields by name; the fields
-    without a default are required."""
+    without a default are required. The constructor checks every value."""
     from .scenario import ScenarioConfig
 
     doc = read_json(path, ScenarioError)
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
-    fields = dataclasses.fields(ScenarioConfig)
-    unknown = set(doc) - {f.name for f in fields}
-    if unknown:
-        raise ScenarioError(f"{path}: unknown config keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(ScenarioConfig)
-    values = {}
-    for f in fields:
-        if f.name in doc:
-            try:
-                values[f.name] = _typed(doc[f.name], hints[f.name])
-            except TypeError:
-                raise ScenarioError(
-                    f"{path}: config key {f.name!r} must be {f.type}, not {doc[f.name]!r}"
-                ) from None
-            except OverflowError:
-                raise ScenarioError(
-                    f"{path}: config key {f.name!r} is too large for a float"
-                ) from None
-        elif f.default is dataclasses.MISSING:
-            raise ScenarioError(f"{path}: missing config key {f.name!r}")
     try:
-        return ScenarioConfig(**values)
-    except ScenarioError as exc:
+        return ScenarioConfig(**doc)
+    except (TypeError, ScenarioError) as exc:  # TypeError: an unknown or missing key
         raise ScenarioError(f"{path}: {exc}") from None
 
 

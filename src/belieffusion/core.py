@@ -118,7 +118,7 @@ class FocalSet:
         if self.width < 1:
             raise ValueError("focal set needs a positive frame width")
         if not 0 <= self.bits < (1 << self.width):
-            raise ValueError("bit vector wider than its frame")
+            raise ValueError("bit vector outside its frame")
 
     def __and__(self, other: FocalSet) -> FocalSet:
         self._check(other)
@@ -207,10 +207,7 @@ class MassFunction:
             yield FocalSet(z, self.frame.size), self._table[z]
 
     def total(self) -> float:
-        total = 0.0
-        for v in self._table.values():  # left to right, not sum(): it compensates since 3.12
-            total += v
-        return total
+        return _sum_in_order(self._table.values())
 
     def is_close_to(self, other: MassFunction, tol: float = SUM_TOL) -> bool:
         """Entrywise comparison over the union of stored focal sets."""
@@ -287,6 +284,15 @@ def _pair_pass(
                 u = x | y
                 join[u] = join.get(u, 0.0) + product
     return meet, disjoint, join
+
+
+def _sum_in_order(values: Iterable[float]) -> float:
+    """The values added left to right: not ``sum()``, which compensates since
+    Python 3.12, so the bits would depend on the Python version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _sorted_k12(disjoint: Pairs) -> float:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Frame, MassFunction
 
 __all__ = ["PignisticDistribution", "Decision", "betp", "decide", "TIE_TOL"]
@@ -49,9 +51,6 @@ def betp(m: MassFunction) -> PignisticDistribution:
     over the entries, bit for bit. Reducing the contiguous axis would sum
     pairwise, and ``@`` and ``einsum`` sum in BLAS order; both change bits.
     """
-    # Imported here, not at module level, so commands that never call betp skip numpy.
-    import numpy as np
-
     if m.open_world:
         raise ValueError("pignistic transform requires a closed-world bba")
     n = m.frame.size

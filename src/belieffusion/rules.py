@@ -19,8 +19,8 @@ from functools import wraps
 from inspect import signature
 from typing import Callable, Iterator, Mapping
 
-from .core import FocalSet, FrameMismatchError, MassFunction, Pairs, Table, conjunctive
-from .core import _mass, _nonzero, _pair_pass, _sorted_k12
+from .core import FocalSet, MassFunction, Pairs, Table, conjunctive
+from .core import _mass, _nonzero, _pair_pass, _sorted_k12, _sum_in_order, validate
 from .core import conflict, disjunctive  # noqa: F401 (tracing tools patch them here)
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 TOTAL_CONFLICT_TOL = 1e-12
-WEIGHT_SUM_TOL = 1e-9
 
 
 class TotalConflictError(ArithmeticError):
@@ -79,9 +78,7 @@ def dempster(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     """Normalized conjunctive rule: divide each non-empty conjunctive mass by
     their sum (1 - k12, free of input drift). Raises TotalConflictError at k12 = 1."""
     _, out, disjoint = _split(m1, m2)
-    norm = 0.0
-    for v in out.values():  # left to right, not sum(): it compensates since Python 3.12
-        norm += v
+    norm = _sum_in_order(out.values())
     if norm <= TOTAL_CONFLICT_TOL:
         raise TotalConflictError(
             "total conflict between sources (k12=1); Dempster's rule cannot be used"
@@ -117,33 +114,22 @@ def dubois_prade(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
 dsmh = dubois_prade
 
 
-def _check_weights(frame, weights: Mapping[FocalSet, float]) -> None:
-    # Each condition is written so that a NaN weight or sum fails it.
-    total = 0.0
-    for fs, w in weights.items():
-        if fs.width != frame.size:
-            raise FrameMismatchError("weight set width does not match frame")
-        if fs.is_empty:
-            raise ValueError("weights must be assigned to non-empty sets only")
-        if not w >= 0.0:
-            raise ValueError(f"weight {w!r} on {fs.label(frame)} must be non-negative")
-        total += w
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
-        raise ValueError(f"weights sum to {total!r}, not 1")
-
-
 @_rule
 def inagaki_generic(
     m1: MassFunction, m2: MassFunction, weights: Mapping[FocalSet, float]
 ) -> tuple[Table, Pairs]:
     """Inagaki's weighted redistribution: each non-empty A receives
-    m∧(A) + w(A)·k12 for a caller-chosen unit-sum weight assignment."""
-    _check_weights(m1.frame, weights)
+    m∧(A) + w(A)·k12 for a caller-chosen unit-sum weight assignment, which
+    is checked as a closed-world bba on the inputs' frame."""
+    w = MassFunction(m1.frame, weights)
+    report = validate(w)
+    if not report.ok:
+        raise ValueError("weights: " + "; ".join(report.violations))
     k12, out, disjoint = _split(m1, m2)
-    for fs, w in weights.items():
-        share = w * k12
+    for z, v in w._table.items():
+        share = v * k12
         if share:
-            out[fs.bits] = out.get(fs.bits, 0.0) + share
+            out[z] = out.get(z, 0.0) + share
     return out, disjoint
 
 
@@ -157,9 +143,7 @@ def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
         return out, disjoint
     full = (1 << m1.frame.size) - 1
     theta_mass = out.pop(full, 0.0)
-    s = 0.0
-    for v in out.values():  # left to right, as in dempster
-        s += v
+    s = _sum_in_order(out.values())
     if s == 0.0:
         raise DegenerateError("no focal element other than Θ can receive the conflict")
     factor = 1.0 + k12 / s

@@ -17,8 +17,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import typing
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Any, Optional
+
+import numpy as np
 
 # conflict is unused here but stays bound: tracing tools patch it by name.
 from .core import FocalSet, Frame, MassFunction, conflict, make_frame, vacuous  # noqa: F401
@@ -58,6 +61,10 @@ TRAJECTORY_HEADER = [
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One identification run. The constructor checks each field's type,
+    then the ranges, and raises ``ScenarioError``; it stores a list as a
+    tuple and an integer in a float field as a float."""
+
     n_targets: int
     n_emitters: int
     emitters_per_target: tuple[int, int]
@@ -70,6 +77,16 @@ class ScenarioConfig:
     similar_target: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name, hint in _HINTS.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _typed(value, hint))
+            except TypeError:
+                raise ScenarioError(
+                    f"config key {name!r} must be {self.__annotations__[name]}, not {value!r}"
+                ) from None
+            except OverflowError:
+                raise ScenarioError(f"config key {name!r} is too large for a float") from None
         lo, hi = self.emitters_per_target
         if self.n_targets < 1:
             raise ScenarioError("n_targets must be positive")
@@ -110,6 +127,26 @@ class ScenarioConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ScenarioError("seed must be an unsigned 64-bit integer")
+
+
+def _typed(value: Any, hint: Any) -> Any:
+    """``value`` as the field type ``hint`` (int, float, str, a tuple from a
+    list or tuple, or Optional); raises TypeError on any other value. A bool
+    is not a number, and a float field also takes an integer. The plain
+    types are tested first: the ``typing`` calls cost more than the check."""
+    if type(value) is hint:
+        return value
+    if hint is float and type(value) is int:
+        return float(value)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return None if value is None else _typed(value, args[0])
+    if origin is tuple and type(value) in (list, tuple) and len(value) == len(args):
+        return tuple(_typed(v, a) for v, a in zip(value, args))
+    raise TypeError
+
+
+_HINTS = typing.get_type_hints(ScenarioConfig)
 
 
 @dataclass(frozen=True)
@@ -223,9 +260,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     is reported through ``failed_at`` rather than raised: demonstrating the
     rule's limit of applicability is a legitimate measurement.
     """
-    # Imported here, not at module level, so commands that never run a scenario skip numpy.
-    import numpy as np
-
     rng = np.random.Generator(np.random.PCG64(config.seed))
     pdb = build_pdb(config, rng)
     reports = tuple(gen_report(pdb, config, rng) for _ in range(config.n_reports))

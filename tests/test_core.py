@@ -91,6 +91,23 @@ class TestFocalSet:
         with pytest.raises(FrameMismatchError):
             FocalSet(1, 2) & FocalSet(1, 3)
 
+    def test_needs_a_positive_width(self):
+        with pytest.raises(ValueError, match="positive frame width"):
+            FocalSet(0, 0)
+
+    @pytest.mark.parametrize("bits", [8, -1])
+    def test_bits_outside_the_frame(self, bits):
+        with pytest.raises(ValueError, match="outside its frame"):
+            FocalSet(bits, 3)
+
+    def test_index_outside_the_frame(self):
+        with pytest.raises(IndexError):
+            make_frame("ABC").subset_of_indices([3])
+
+    def test_members_of_another_frame(self):
+        with pytest.raises(FrameMismatchError):
+            FocalSet(1, 2).members(make_frame("ABC"))
+
     def test_labelling(self):
         f = make_frame(["A", "B"])
         assert f.subset(["A", "B"]).label(f) == "A∪B"
@@ -183,6 +200,10 @@ class TestMassFunctionStorage:
         assert m != MassFunction(FRAME_AB, {a: 0.25, ab: 0.75})
         other = make_frame(["X", "Y"])
         assert m != MassFunction(other, {other.subset(["X"]): 0.5, other.full_set(): 0.5})
+
+    def test_not_close_across_frames(self):
+        other = make_frame(["X", "Y"])
+        assert not vacuous(FRAME_AB).is_close_to(vacuous(other))
 
     def test_items_in_ascending_bit_order(self):
         f = make_frame(["A", "B", "C"])

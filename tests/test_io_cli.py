@@ -398,6 +398,17 @@ class TestCli:
         assert result.returncode == 2
         assert "truth_index" in result.stderr
 
+    def test_scenario_unknown_key_exit_2(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(SMALL_CONFIG, n_reprots=5)), encoding="utf-8")
+        out = tmp_path / "o"
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"belieffusion: {cfg}: ")
+        assert "'n_reprots'" in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_scenario_integer_for_float_field(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(SMALL_CONFIG, pfa=0, report_mass=1)), encoding="utf-8")

@@ -131,10 +131,10 @@ class TestInagaki:
         "weights,match",
         [
             ({"AB": 0.5}, "sum"),
-            ({"A": 1.0, "B": math.nan}, "non-negative"),
-            ({"A": 1.5, "B": -0.5}, "non-negative"),
+            ({"A": 1.0, "B": math.nan}, "non-finite"),
+            ({"A": 1.5, "B": -0.5}, "negative mass"),
             ({"A": math.inf}, "sum"),
-            ({"": 1.0}, "non-empty sets only"),
+            ({"": 1.0}, "on ∅"),
         ],
         ids=["half", "nan", "negative", "inf", "empty-set"],
     )

@@ -173,12 +173,30 @@ class TestBuildPdb:
                          id="n-reports-negative"),
             pytest.param(dict(report_mass=0.0), "report_mass must lie", id="report-mass-0"),
             pytest.param(dict(rule="nope"), "unknown rule 'nope'", id="rule-unknown"),
+            # The constructor checks types too, for library callers as for config files.
+            pytest.param(dict(seed=True), "key 'seed' must be int, not True", id="seed-bool"),
+            pytest.param(dict(n_targets=20.0), "key 'n_targets' must be int, not 20.0",
+                         id="n-targets-float"),
+            pytest.param(dict(similar_target=5.0), r"key 'similar_target' must be Optional\[int\]",
+                         id="similar-float"),
+            pytest.param(dict(pfa="0.3"), "key 'pfa' must be float, not '0.3'", id="pfa-str"),
+            pytest.param(dict(emitters_per_target=(5,)),
+                         r"key 'emitters_per_target' must be tuple\[int, int\], not \(5,\)",
+                         id="ept-one-bound"),
+            pytest.param(dict(pfa=10**400), "key 'pfa' is too large for a float",
+                         id="pfa-overflow"),
         ],
     )
     def test_replace_checks_again(self, change, match):
         # The CLI's --seed and --rules overrides rely on replace re-running the check.
         with pytest.raises(ScenarioError, match=match):
             dataclasses.replace(make_config(), **change)
+
+    def test_constructor_stores_field_types(self):
+        cfg = make_config(emitters_per_target=[5, 9], pfa=0)
+        assert cfg.emitters_per_target == (5, 9) and type(cfg.emitters_per_target) is tuple
+        assert hash(cfg) == hash(make_config(emitters_per_target=(5, 9), pfa=0.0))
+        assert cfg.pfa == 0.0 and type(cfg.pfa) is float
 
 
 class TestGenReport:
