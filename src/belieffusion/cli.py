@@ -20,18 +20,17 @@ line; diagnostics go to stderr, data to stdout.
 ``combine``, ``conflict`` and ``rules`` load neither ``decision``, ``scenario``
 nor numpy; ``betp`` loads ``decision`` and numpy, ``scenario`` all three. Both
 modules import numpy when they load, so only the commands that use them import
-them.
+them. Only ``scenario`` loads ``dataclasses``, and no command that skips numpy
+loads ``inspect``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-import typing
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import core  # looked up per call, so wrappers installed on it apply
 from .core import FrameMismatchError, MassFunction, ScenarioError, validate
@@ -39,7 +38,10 @@ from .massio import MassFormatError, mass_to_dict, read_json, read_mass, write_m
 from .rules import RULES, DegenerateError, TotalConflictError
 
 # decision and scenario are imported by the commands that use them, so the others skip them.
-if typing.TYPE_CHECKING:
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from typing import NoReturn
+
     from .scenario import ScenarioConfig
 
 EXIT_OK = 0
@@ -117,6 +119,8 @@ def _parse_scenario_config(path: str) -> ScenarioConfig:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from .scenario import run_scenario, write_metadata, write_trajectory_csv
 
     config = _parse_scenario_config(args.config)
@@ -150,7 +154,7 @@ def _cmd_rules(_args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> typing.NoReturn:
+    def error(self, message: str) -> NoReturn:
         """Raise a bad command line for ``main`` to report, not print usage and exit."""
         raise argparse.ArgumentError(None, message)
 
@@ -191,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

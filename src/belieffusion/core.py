@@ -10,10 +10,11 @@ functions, so everything here is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
 
 __all__ = [
     "Frame",
@@ -50,26 +51,56 @@ class ScenarioError(ValueError):
     """The scenario configuration is infeasible or inconsistent; raised when one is built."""
 
 
-@dataclass(frozen=True)
-class Frame:
-    """An ordered set of exclusive, exhaustive hypothesis labels."""
+class _Record:
+    """An immutable record of the ``_fields`` its subclass's ``__init__`` sets with
+    ``object.__setattr__``. Equality, hashing, ``repr`` and pickling go by the
+    fields, and only records of one class compare equal."""
 
-    labels: tuple[str, ...]
+    __slots__ = ()
+    _fields: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not self.labels:
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)  # an attrgetter does not bind: call self._key(self)
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{self.__class__.__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class Frame(_Record):
+    """An ordered set of exclusive, exhaustive hypothesis labels, ``size`` of them."""
+
+    __slots__ = ("labels", "size")
+    _fields = ("labels",)
+
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        if not labels:
             raise ValueError("frame needs at least one label")
         seen: set[str] = set()
-        for label in self.labels:
+        for label in labels:
             if not label:
                 raise ValueError("empty label in frame")
             if label in seen:
                 raise ValueError(f"duplicate label in frame: {label!r}")
             seen.add(label)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "size", len(labels))
 
     def index(self, label: str) -> int:
         try:
@@ -103,22 +134,25 @@ def make_frame(labels: Iterable[str]) -> Frame:
     return Frame(tuple(labels))
 
 
-@dataclass(frozen=True, order=True)
-class FocalSet:
+class FocalSet(_Record):
     """A subset of a frame, stored as an arbitrary-width bit vector.
 
     ``bits`` is a plain Python int, so frames wider than a machine word
     (e.g. 135 hypotheses) need no special handling.
     """
 
-    bits: int
-    width: int
+    __slots__ = _fields = ("bits", "width")
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
+    def __init__(self, bits: int, width: int) -> None:
+        if width < 1:
             raise ValueError("focal set needs a positive frame width")
-        if not 0 <= self.bits < (1 << self.width):
+        if not 0 <= bits < (1 << width):
             raise ValueError("bit vector outside its frame")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "width", width)
+
+    def __lt__(self, other: FocalSet) -> bool:  # sorts by (bits, width)
+        return self._key(self) < other._key(other) if type(other) is FocalSet else NotImplemented
 
     def __and__(self, other: FocalSet) -> FocalSet:
         self._check(other)
@@ -165,8 +199,7 @@ class FocalSet:
         return "∪".join(names) if names else "∅"
 
 
-@dataclass(frozen=True, init=False)
-class MassFunction:
+class MassFunction(_Record):
     """A sparse basic belief assignment over subsets of a frame.
 
     Only strictly positive masses are stored; reading an absent set yields 0.
@@ -175,16 +208,15 @@ class MassFunction:
     combination rule must have ``open_world=False``. The masses are stored
     in ``_table``, keyed by ``int`` bit mask in insertion order; ``entries``
     is a read-only view of it keyed by ``FocalSet``, built on first read.
+    A mass must be a number other than a ``bool``.
     """
 
-    frame: Frame
-    _table: Table
-    open_world: bool = False
+    _fields = ("frame", "_table", "open_world")
 
     def __init__(
         self, frame: Frame, entries: Mapping[FocalSet, float], open_world: bool = False
     ) -> None:
-        table = {fs.bits: float(v) for fs, v in entries.items() if v != 0.0}
+        table = {fs.bits: x for fs, v in entries.items() if (x := _number(frame, fs, v)) != 0.0}
         if any(fs.width != frame.size for fs, v in entries.items() if v != 0.0):
             raise FrameMismatchError("focal set width does not match frame")
         self.__dict__.update(frame=frame, _table=table, open_world=open_world)
@@ -194,9 +226,9 @@ class MassFunction:
         width = self.frame.size
         return MappingProxyType({FocalSet(z, width): v for z, v in self._table.items()})
 
-    def __getstate__(self) -> dict:
+    def __reduce__(self) -> tuple:
         # The cached view is rebuilt on demand, and a mappingproxy does not pickle.
-        return {k: v for k, v in self.__dict__.items() if k != "entries"}
+        return _mass, (self.frame, self._table, self.open_world)
 
     def mass(self, fs: FocalSet) -> float:
         return self._table.get(fs.bits, 0.0) if fs.width == self.frame.size else 0.0
@@ -217,18 +249,19 @@ class MassFunction:
         return all(abs(a.get(k, 0.0) - b.get(k, 0.0)) <= tol for k in a.keys() | b.keys())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...] = ()
+def _number(frame: Frame, fs: FocalSet, v: object) -> float:
+    """The mass ``v`` on ``fs`` as a float; a ``bool`` or a string is not a number."""
+    if isinstance(v, bool) or not hasattr(v, "__float__"):
+        raise TypeError(f"mass on {fs.label(frame)} must be a number, not {v!r}")
+    return float(v)
 
 
-@dataclass(frozen=True)
-class ConflictDecomposition:
-    """Total conflict k12 and the disjoint focal pairs producing it, in ``(x, y)`` order."""
+# ok: bool, violations: tuple[str, ...]
+ValidationReport = namedtuple("ValidationReport", "ok violations", defaults=((),))
 
-    total: float
-    pairs: tuple[tuple[FocalSet, FocalSet, float], ...]
+ConflictDecomposition = namedtuple("ConflictDecomposition", "total pairs")
+ConflictDecomposition.__doc__ = """Total conflict k12 (a float) and the disjoint focal
+pairs ``(x, y, m1(x)·m2(y))`` producing it, in ``(x, y)`` order."""
 
 
 def validate(m: MassFunction) -> ValidationReport:
@@ -258,7 +291,7 @@ def vacuous(frame: Frame) -> MassFunction:
 
 def _pair_pass(
     m1: MassFunction, m2: MassFunction, union: bool = False
-) -> tuple[Table, Pairs, Optional[Table]]:
+) -> tuple[Table, Pairs, Table | None]:
     """The one pass over m1 × m2 that every combination rule builds on.
 
     Works on raw ``int`` bit masks in storage order and returns the ∩-table
@@ -272,7 +305,7 @@ def _pair_pass(
     right = list(m2._table.items())
     meet: Table = {}
     disjoint: Pairs = []
-    join: Optional[Table] = {} if union else None
+    join: Table | None = {} if union else None
     for x, a in m1._table.items():
         for y, b in right:
             product = a * b

@@ -2,33 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .core import Frame, MassFunction
+from .core import MassFunction
 
 __all__ = ["PignisticDistribution", "Decision", "betp", "decide", "TIE_TOL"]
 
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PignisticDistribution:
-    """Probability vector over the singletons of a frame."""
+class PignisticDistribution(namedtuple("PignisticDistribution", "frame probs")):
+    """Probability vector ``probs`` over the singletons of ``frame``."""
 
-    frame: Frame
-    probs: tuple[float, ...]
+    __slots__ = ()
 
     def prob(self, label: str) -> float:
         return self.probs[self.frame.index(label)]
 
 
-@dataclass(frozen=True)
-class Decision:
-    index: int
-    probability: float
-    tie: bool
+# The chosen frame index, its probability, and whether other singletons tie with it.
+Decision = namedtuple("Decision", "index probability tie")
 
 
 # Rows of the member matrix expanded at once; bounds the int64 select block

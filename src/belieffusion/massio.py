@@ -19,7 +19,6 @@ write → read is value-identical.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from .core import FocalSet, Frame, MassFunction, make_frame
 
@@ -31,8 +30,8 @@ class MassFormatError(ValueError):
     """The input document does not follow the mass-function text format."""
 
 
-def mass_to_dict(m: MassFunction) -> dict[str, Any]:
-    doc: dict[str, Any] = {
+def mass_to_dict(m: MassFunction) -> dict[str, object]:
+    doc: dict[str, object] = {
         "frame": list(m.frame.labels),
         "masses": [
             {"set": list(fs.members(m.frame)), "mass": v} for fs, v in m.items()
@@ -43,13 +42,13 @@ def mass_to_dict(m: MassFunction) -> dict[str, Any]:
     return doc
 
 
-def _reject_unknown(obj: dict[str, Any], known: tuple[str, ...], where: str) -> None:
+def _reject_unknown(obj: dict[str, object], known: tuple[str, ...], where: str) -> None:
     for key in obj:
         if key not in known:
             raise MassFormatError(f"{where}unknown key {key!r}")
 
 
-def mass_from_dict(doc: Any) -> MassFunction:
+def mass_from_dict(doc: object) -> MassFunction:
     if not isinstance(doc, dict):
         raise MassFormatError("top level must be an object")
     _reject_unknown(doc, ("frame", "masses", "open_world"), "")
@@ -97,7 +96,7 @@ def mass_from_dict(doc: Any) -> MassFunction:
     return MassFunction(frame, entries, open_world=open_world)
 
 
-def read_json(path: str, error: type[ValueError] = MassFormatError) -> Any:
+def read_json(path: str, error: type[ValueError] = MassFormatError) -> object:
     """The JSON document in ``path``; one that is malformed, not UTF-8, or past
     ``json``'s limits (integer digits, nesting) raises ``error`` naming the file."""
     with open(path, encoding="utf-8") as fh:

@@ -14,10 +14,9 @@ pairs. ``_step``, the scenario fold's step, also sums k12 from those pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import wraps
-from inspect import signature
-from typing import Callable, Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping
+from functools import update_wrapper
 
 from .core import FocalSet, MassFunction, Pairs, Table, conjunctive
 from .core import _mass, _nonzero, _pair_pass, _sorted_k12, _sum_in_order, validate
@@ -60,11 +59,23 @@ class InvalidBetaError(ValueError):
     """A supplied mixture weighting violates its endpoint contract."""
 
 
-def _rule(policy: Callable[..., tuple[Table, Pairs]]) -> Callable[..., MassFunction]:
+class _rule:
     """The public rule of a policy: its output table as a mass function."""
-    rule = wraps(policy)(lambda m1, m2, *args: _mass(m1.frame, policy(m1, m2, *args)[0]))
-    rule.__signature__ = signature(policy).replace(return_annotation="MassFunction")
-    return rule
+
+    def __init__(self, policy: Callable[..., tuple[Table, Pairs]]) -> None:
+        update_wrapper(self, policy)
+
+    def __call__(self, m1: MassFunction, m2: MassFunction, *args) -> MassFunction:
+        return _mass(m1.frame, self.__wrapped__(m1, m2, *args)[0])
+
+    def __reduce__(self) -> str:
+        return self.__qualname__  # pickled by name, as a function is
+
+    @property
+    def __signature__(self):  # built on request: importing inspect would cost every command
+        from inspect import signature
+
+        return signature(self.__wrapped__).replace(return_annotation="MassFunction")
 
 
 def _split(m1: MassFunction, m2: MassFunction) -> tuple[float, Table, Pairs]:
@@ -225,19 +236,12 @@ def acr_inagaki_weights(
     }
 
 
-@dataclass(frozen=True)
-class ConflictShare:
-    """One directional redistribution term of the proportional rule.
+ConflictShare = namedtuple("ConflictShare", "x y product to_x to_y")
+ConflictShare.__doc__ = """One directional redistribution term of the proportional rule.
 
-    The partial conflicting product m_i(x)·m_j(y) of a disjoint pair is
-    returned to x and y in the ratio m_i(x) : m_j(y).
-    """
-
-    x: FocalSet
-    y: FocalSet
-    product: float
-    to_x: float
-    to_y: float
+The partial conflicting product m_i(x)·m_j(y) of the disjoint focal sets x and
+y is returned to x and y in the ratio m_i(x) : m_j(y).
+"""
 
 
 def _shares(disjoint: Pairs) -> Iterator[tuple[int, int, float, float, float]]:

@@ -1,9 +1,9 @@
 import copy
-import dataclasses
 import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +162,16 @@ class TestValidate:
             "non-finite mass inf on h1∪h2∪h134",
         )
 
+    @pytest.mark.parametrize("bad", ["1", True, False, None], ids=["str", "true", "false", "none"])
+    def test_mass_that_is_not_a_number(self, bad):
+        with pytest.raises(TypeError, match=f"mass on A must be a number, not {bad!r}"):
+            MassFunction(FRAME_AB, {FRAME_AB.subset(["A"]): bad})
+
+    @pytest.mark.parametrize("value", [1, np.float64(1.0), np.float32(1.0)])
+    def test_mass_of_another_numeric_type(self, value):
+        m = MassFunction(FRAME_AB, {FRAME_AB.subset(["A"]): value})
+        assert m._table == {1: 1.0} and type(m._table[1]) is float
+
     def test_zero_masses_never_stored(self):
         m = MassFunction(FRAME_AB, {FRAME_AB.subset(["A"]): 1.0, FRAME_AB.subset(["B"]): 0.0})
         assert FRAME_AB.subset(["B"]) not in m.entries
@@ -210,6 +220,63 @@ class TestMassFunctionStorage:
         m = core._mass(f, {0b111: 0.25, 0b001: 0.25, 0b110: 0.25, 0b010: 0.25})
         assert [fs.bits for fs, _ in m.items()] == [0b001, 0b010, 0b110, 0b111]
         assert [v for _, v in m.items()] == [0.25] * 4
+
+
+class TestRecords:
+    """The records are plain classes, so what a frozen dataclass gave them for
+    free is pinned here: the reprs below were recorded from the dataclasses."""
+
+    A, AB = FRAME_AB.subset(["A"]), FRAME_AB.full_set()
+
+    def records(self):
+        m = MassFunction(FRAME_AB, {self.A: 0.5, self.AB: 0.5})
+        assert len(m.entries) == 2  # read first: the cached view must not break copying
+        d = conflict(m, bba(FRAME_AB, {"B": 1.0}))
+        return [FRAME_AB, self.A, m, validate(m), d]
+
+    def test_reprs(self):
+        assert [repr(r) for r in self.records()] == [
+            "Frame(labels=('A', 'B'))",
+            "FocalSet(bits=1, width=2)",
+            "MassFunction(frame=Frame(labels=('A', 'B')), _table={1: 0.5, 3: 0.5}, "
+            "open_world=False)",
+            "ValidationReport(ok=True, violations=())",
+            "ConflictDecomposition(total=0.5, pairs=((FocalSet(bits=1, width=2), "
+            "FocalSet(bits=2, width=2), 0.5),))",
+        ]
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for record in self.records():
+            for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+                assert type(again) is type(record) and again == record
+                assert repr(again) == repr(record)
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        frame, fs, m, report, d = self.records()
+        fields = [(frame, "labels"), (frame, "size"), (fs, "bits"), (fs, "extra"),
+                  (m, "frame"), (m, "entries"), (report, "ok"), (d, "total")]
+        for record, field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+
+    def test_equality_and_hashing(self):
+        assert FocalSet(1, 2) == self.A and hash(FocalSet(1, 2)) == hash(self.A)
+        assert make_frame("AB") == FRAME_AB and hash(make_frame("AB")) == hash(FRAME_AB)
+        assert FocalSet(1, 2) != FocalSet(1, 3)
+        assert FocalSet(1, 2) != (1, 2) and FRAME_AB != (("A", "B"),)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(self.records()[2])
+
+    def test_focal_sets_sort_by_bits_then_width(self):
+        sets = [FocalSet(3, 2), FocalSet(1, 3), FocalSet(1, 2), FocalSet(2, 2)]
+        assert sorted(sets) == [FocalSet(1, 2), FocalSet(1, 3), FocalSet(2, 2), FocalSet(3, 2)]
+        with pytest.raises(TypeError):
+            sorted([FocalSet(1, 2), (1, 2)])
+
+    def test_frame_size_is_stored(self):
+        assert "size" in type(FRAME_AB).__slots__ and FRAME_AB.size == 2
 
 
 class TestVacuous:
@@ -303,7 +370,7 @@ class TestConflict:
 
     def test_frozen(self):
         d = conflict(*EX1)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             d.total = 0.0
 
 

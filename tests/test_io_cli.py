@@ -433,25 +433,27 @@ ACCEPTANCE_CONFIG = {
 
 
 @pytest.mark.parametrize(
-    "argv,loads_numpy,modules",
+    "argv,loads_numpy,modules,no_stdlib",
     [
-        (None, False, []),
-        (["combine", "--rule", "pcr", "{m1}", "{m2}"], False, []),
-        (["conflict", "{m1}", "{m2}"], False, []),
-        (["rules"], False, []),
-        (["betp", "{m1}"], True, ["decision"]),
-        (["scenario", "--config", "{config}", "--out", "{out}"], True, ["decision", "scenario"]),
+        (None, False, [], ["dataclasses", "inspect"]),
+        (["combine", "--rule", "pcr", "{m1}", "{m2}"], False, [], ["dataclasses", "inspect"]),
+        (["conflict", "{m1}", "{m2}"], False, [], ["dataclasses", "inspect"]),
+        (["rules"], False, [], ["dataclasses", "inspect"]),
+        (["betp", "{m1}"], True, ["decision"], ["dataclasses"]),
+        (["scenario", "--config", "{config}", "--out", "{out}"], True, ["decision", "scenario"],
+         []),
     ],
     ids=["import", "combine", "conflict", "rules", "betp", "scenario"],
 )
 def test_numpy_loaded_only_by_betp_and_scenario(
-    tmp_path, capsys, example_files, argv, loads_numpy, modules
+    tmp_path, capsys, example_files, argv, loads_numpy, modules, no_stdlib
 ):
     """In a fresh interpreter (this one imported numpy through conftest),
     importing the package and the CLI loads no numpy and neither ``decision``
     nor ``scenario``, nor do the commands that never call them; ``betp`` loads
     ``decision`` and numpy, ``scenario`` all three, and both produce the same
-    output as an in-process run."""
+    output as an in-process run. None but ``scenario`` loads ``dataclasses``,
+    and none that skips numpy loads ``inspect``."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(ACCEPTANCE_CONFIG), encoding="utf-8")
     paths = dict(m1=example_files[0], m2=example_files[1], config=str(config))
@@ -463,10 +465,13 @@ def test_numpy_loaded_only_by_betp_and_scenario(
         "print('numpy' in sys.modules, file=sys.stderr)\n"
         "print([m for m in ('decision', 'scenario') if 'belieffusion.' + m in sys.modules],\n"
         "      file=sys.stderr)\n"
+        "print(*[m for m in ('dataclasses', 'inspect') if m in sys.modules], file=sys.stderr)\n"
     )
     args = [a.format(out=str(tmp_path / "fresh"), **paths) for a in argv or []]
     result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
-    assert result.stderr == f"{loads_numpy}\n{modules}\n"
+    *lines, stdlib = result.stderr.splitlines()
+    assert lines == [str(loads_numpy), str(modules)]
+    assert not set(stdlib.split()) & set(no_stdlib)
     if argv is None:
         return
     assert main([a.format(out=str(tmp_path / "here"), **paths) for a in argv]) == 0

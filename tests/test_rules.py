@@ -1,4 +1,8 @@
+import inspect
 import math
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +145,11 @@ class TestInagaki:
     def test_generic_rejects_bad_weight_sum(self, weights, match):
         with pytest.raises(ValueError, match=match):
             inagaki_generic(*EX1, {FRAME_AB.subset(tuple(k)): w for k, w in weights.items()})
+
+    @pytest.mark.parametrize("weight", ["1", True])
+    def test_generic_rejects_a_weight_that_is_not_a_number(self, weight):
+        with pytest.raises(TypeError, match="mass on A∪B must be a number"):
+            inagaki_generic(*EX1, {FRAME_AB.full_set(): weight})
 
     def test_generic_rejects_weight_from_another_frame(self):
         wide = make_frame(["A", "B", "C"]).subset(["A"])
@@ -374,6 +383,27 @@ def test_rule_registry_names():
         "sacr",
         "pcr",
     }
+
+
+def test_rule_signatures_return_a_mass_function():
+    pair = "m1: 'MassFunction', m2: 'MassFunction'"
+    assert str(inspect.signature(pcr)) == f"({pair}) -> 'MassFunction'"
+    assert str(inspect.signature(inagaki_generic)) == (
+        f"({pair}, weights: 'Mapping[FocalSet, float]') -> 'MassFunction'"
+    )
+
+
+def test_rules_pickle_by_name():
+    for rule in RULES.values():
+        assert pickle.loads(pickle.dumps(rule)) is rule
+
+
+def test_importing_rules_leaves_out_inspect():
+    """The rules' signatures are built on request, so a fresh interpreter that
+    imports the module (and the CLI, which needs no signature) has no ``inspect``."""
+    code = "import sys, belieffusion.rules, belieffusion.cli; print('inspect' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.stdout == "False\n", result.stderr
 
 
 def test_normalizing_sums_run_left_to_right():
