@@ -55,7 +55,7 @@ def mass_from_dict(doc: object) -> MassFunction:
     try:
         labels = doc["frame"]
         masses = doc["masses"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise MassFormatError(f"missing field: {exc}") from None
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise MassFormatError("'frame' must be an array of labels")

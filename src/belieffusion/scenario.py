@@ -18,6 +18,7 @@ import csv
 import itertools
 import json
 import typing
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
@@ -149,18 +150,13 @@ def _typed(value: Any, hint: Any) -> Any:
 _HINTS = typing.get_type_hints(ScenarioConfig)
 
 
-@dataclass(frozen=True)
-class PlatformDatabase:
-    """The candidate targets as a frame, and for each emitter the targets
-    that own it. The two sampling pools are not stored: they are ranges of
-    the config (see ``build_pdb``)."""
-
-    frame: Frame
-    emitter_index: dict[int, frozenset[int]]
+PlatformDatabase = namedtuple("PlatformDatabase", "frame emitter_index")
+PlatformDatabase.__doc__ = """The targets as a ``Frame``, and each emitter's owners as a
+``dict[int, frozenset[int]]``. The sampling pools are ranges of the config (see ``build_pdb``)."""
 
 
 def _target_labels(n: int) -> list[str]:
-    width = len(str(n - 1)) if n > 1 else 1
+    width = len(str(n - 1))
     return [f"t{i:0{width}d}" for i in range(n)]
 
 
@@ -228,26 +224,16 @@ def report_bba(report_set: FocalSet, frame: Frame, report_mass: float) -> MassFu
     return MassFunction(frame, entries)
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    step: int
-    reported_emitter: int
-    report_set_size: int
-    conflict_k12: float
-    betp_truth: float
-    betp_similar: Optional[float]
-    decided_index: int
-    tie: bool
+TrajectoryRecord = namedtuple("TrajectoryRecord", "step reported_emitter report_set_size "
+                              "conflict_k12 betp_truth betp_similar decided_index tie")
+TrajectoryRecord.__doc__ = """One fused step: ``conflict_k12``, ``betp_truth`` and ``betp_similar``
+are floats (``betp_similar`` is None without a similar target), ``tie`` a bool, the rest ints."""
 
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    config: ScenarioConfig
-    pdb: PlatformDatabase
-    reports: tuple[tuple[int, FocalSet], ...]
-    records: tuple[TrajectoryRecord, ...]
-    failed_at: Optional[int] = None
-    final_state: Optional[MassFunction] = None
+ScenarioResult = namedtuple("ScenarioResult", "config pdb reports records failed_at final_state",
+                            defaults=(None, None))
+ScenarioResult.__doc__ = """A ``ScenarioConfig`` with its ``PlatformDatabase``, its ``(emitter,
+FocalSet)`` reports, a ``TrajectoryRecord`` per completed step, the step of a total conflict
+(``failed_at``, an int or None) and the last fused ``MassFunction`` (``final_state``)."""
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

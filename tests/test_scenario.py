@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -68,6 +70,20 @@ class TestBuildPdb:
         assert pdb1.frame == pdb2.frame
         assert pdb1.emitter_index == pdb2.emitter_index
         assert pools(pdb1, cfg.truth_index) == pools(pdb2, cfg.truth_index)
+
+    @pytest.mark.parametrize(
+        "n,head,tail",
+        [
+            (2, ("t0", "t1"), ("t0", "t1")),
+            (10, ("t0", "t1"), ("t8", "t9")),
+            (11, ("t00", "t01"), ("t09", "t10")),
+            (101, ("t000", "t001"), ("t099", "t100")),
+        ],
+    )
+    def test_labels_zero_padded_to_the_widest_index(self, n, head, tail):
+        cfg = make_config(n_targets=n, truth_index=0, similar_target=None)
+        labels = build_pdb(cfg, fresh_rng()).frame.labels
+        assert len(labels) == n and labels[:2] == head and labels[-2:] == tail
 
     def test_inverse_index(self):
         cfg = make_config()
@@ -396,3 +412,61 @@ class TestRunScenario:
             write_trajectory_csv(str(path), run_scenario(cfg))
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+
+class TestRecords:
+    """What ``PlatformDatabase``, ``TrajectoryRecord`` and ``ScenarioResult``
+    promise their callers; the reprs were recorded from the frozen dataclasses
+    they once were."""
+
+    def result(self):
+        return run_scenario(
+            ScenarioConfig(n_targets=3, n_emitters=4, emitters_per_target=(2, 2), truth_index=0,
+                           similar_target=1, n_reports=2, seed=1)
+        )
+
+    def records(self):
+        result = self.result()
+        return [result.pdb, result.records[1], result]
+
+    def test_reprs(self):
+        pdb = ("PlatformDatabase(frame=Frame(labels=('t0', 't1', 't2')), emitter_index={0: "
+               "frozenset({0, 2}), 1: frozenset({0, 1}), 2: frozenset({2}), 3: frozenset({2})})")
+        first = ("TrajectoryRecord(step=1, reported_emitter=1, report_set_size=2, "
+                 "conflict_k12=0.0, betp_truth=0.4666666666666667, "
+                 "betp_similar=0.4666666666666667, decided_index=0, tie=True)")
+        second = ("TrajectoryRecord(step=2, reported_emitter=3, report_set_size=1, "
+                  "conflict_k12=0.6400000000000001, betp_truth=0.25333333333333335, "
+                  "betp_similar=0.25333333333333335, decided_index=2, tie=False)")
+        result = (
+            "ScenarioResult(config=ScenarioConfig(n_targets=3, n_emitters=4, "
+            "emitters_per_target=(2, 2), truth_index=0, pfa=0.3, n_reports=2, report_mass=0.8, "
+            f"rule='pcr', seed=1, similar_target=1), pdb={pdb}, "
+            "reports=((1, FocalSet(bits=3, width=3)), (3, FocalSet(bits=4, width=3))), "
+            f"records=({first}, {second}), failed_at=None, "
+            "final_state=MassFunction(frame=Frame(labels=('t0', 't1', 't2')), "
+            "_table={3: 0.48000000000000004, 4: 0.48000000000000004, 7: 0.03999999999999998}, "
+            "open_world=False))"
+        )
+        assert [repr(r) for r in self.records()] == [pdb, second, result]
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for record in self.records():
+            for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+                assert type(again) is type(record) and again == record
+                assert repr(again) == repr(record)
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        pdb, record, result = self.records()
+        fields = [(pdb, "frame"), (pdb, "emitter_index"), (record, "step"), (record, "tie"),
+                  (record, "extra"), (result, "records"), (result, "failed_at")]
+        for obj, field in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, field)
+
+    def test_equal_trajectory_records_hash_equal(self):
+        a, b = self.result().records, self.result().records
+        assert a[0] is not b[0] and a[0] == b[0] and hash(a[0]) == hash(b[0])
+        assert a[0] != a[1]
