@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 # commands that never call them do not pay for importing them.
 _LAZY = {"decision": ("Decision", "PignisticDistribution", "betp", "decide"),
          "scenario": ("PlatformDatabase", "ScenarioConfig", "ScenarioResult", "TrajectoryRecord",
-                      "build_pdb", "gen_report", "report_bba", "run_scenario")}
+                      "build_pdb", "gen_report", "report_bba", "draw", "fold", "run_scenario")}
 __all__ = [n for n in globals() if n[0] != "_"] + [n for m, ns in _LAZY.items() for n in (m, *ns)]
 
 

@@ -17,6 +17,9 @@ writes anything), 3 frame mismatch, 4 total conflict or degenerate
 combination, 5 I/O error. Each failure prints one ``belieffusion: <cause>``
 line; diagnostics go to stderr, data to stdout.
 
+``scenario`` draws the database and the report stream once and folds that one
+draw under each ``--rules`` entry, so every rule fuses the same reports.
+
 ``combine``, ``conflict`` and ``rules`` load neither ``decision``, ``scenario``
 nor numpy; ``betp`` loads ``decision`` and numpy, ``scenario`` all three. Both
 modules import numpy when they load, so only the commands that use them import
@@ -121,7 +124,7 @@ def _parse_scenario_config(path: str) -> ScenarioConfig:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from .scenario import run_scenario, write_metadata, write_trajectory_csv
+    from .scenario import draw, fold, write_metadata, write_trajectory_csv
 
     config = _parse_scenario_config(args.config)
     if args.seed is not None:
@@ -132,9 +135,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     if len(set(rules)) < len(rules):
         raise ScenarioError(f"--rules lists a rule more than once: {args.rules!r}")
 
+    drawn = draw(config)  # the runs differ only in rule, so one draw serves them all
     os.makedirs(args.out, exist_ok=True)
     for run in runs:
-        result = run_scenario(run)
+        result = fold(run, drawn)
         stem = os.path.join(args.out, f"trajectory_{run.rule}_seed{run.seed}")
         write_trajectory_csv(stem + ".csv", result)
         write_metadata(stem + ".meta.json", result)

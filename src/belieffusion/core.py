@@ -114,9 +114,6 @@ class Frame(_Record):
     def full_set(self) -> FocalSet:
         return FocalSet((1 << self.size) - 1, self.size)
 
-    def singleton(self, index: int) -> FocalSet:
-        return self.subset_of_indices([index])
-
     def subset(self, labels: Iterable[str]) -> FocalSet:
         return self.subset_of_indices(self.index(label) for label in labels)
 
@@ -154,18 +151,6 @@ class FocalSet(_Record):
     def __lt__(self, other: FocalSet) -> bool:  # sorts by (bits, width)
         return self._key(self) < other._key(other) if type(other) is FocalSet else NotImplemented
 
-    def __and__(self, other: FocalSet) -> FocalSet:
-        self._check(other)
-        return FocalSet(self.bits & other.bits, self.width)
-
-    def __or__(self, other: FocalSet) -> FocalSet:
-        self._check(other)
-        return FocalSet(self.bits | other.bits, self.width)
-
-    def _check(self, other: FocalSet) -> None:
-        if self.width != other.width:
-            raise FrameMismatchError("focal sets from different frames")
-
     @property
     def cardinality(self) -> int:
         return self.bits.bit_count()
@@ -173,12 +158,6 @@ class FocalSet(_Record):
     @property
     def is_empty(self) -> bool:
         return self.bits == 0
-
-    def is_full(self) -> bool:
-        return self.bits == (1 << self.width) - 1
-
-    def contains(self, index: int) -> bool:
-        return bool(self.bits >> index & 1)
 
     def indices(self) -> Iterator[int]:
         """Member indices in ascending order, visiting set bits only."""

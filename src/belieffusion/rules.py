@@ -9,7 +9,7 @@ frame and is a pure function of its inputs. Each one is a short policy over
 a single call of the core pair pass: it reads the ∩-table (k12 under key 0),
 the disjoint pairs and, for the adaptive mixture, the ∪-table, decides where
 the conflicting mass goes, and returns the output table and the disjoint
-pairs. ``_step``, the scenario fold's step, also sums k12 from those pairs.
+pairs. ``_step``, one step of ``scenario.fold``, also sums k12 from those pairs.
 """
 
 from __future__ import annotations

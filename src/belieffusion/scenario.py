@@ -9,7 +9,8 @@ trajectory is recorded.
 Randomness comes from a single seeded PCG64 generator consumed only by
 database construction and report generation, so the report stream is
 identical no matter which rule is under test, and trajectories are
-bit-reproducible across processes.
+bit-reproducible across processes. ``draw`` builds the database, the stream
+and its report bbas once; ``fold`` runs one rule over them.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ __all__ = [
     "build_pdb",
     "gen_report",
     "report_bba",
+    "draw",
+    "fold",
     "run_scenario",
     "write_trajectory_csv",
     "write_metadata",
@@ -236,51 +239,51 @@ FocalSet)`` reports, a ``TrajectoryRecord`` per completed step, the step of a to
 (``failed_at``, an int or None) and the last fused ``MassFunction`` (``final_state``)."""
 
 
-def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """Fold the report stream through the configured rule, starting from the
-    vacuous bba, recording conflict, pignistic values, and the max-BetP
+def draw(config: ScenarioConfig) -> tuple[PlatformDatabase, tuple, dict[int, MassFunction]]:
+    """The config's database, its ``(emitter, FocalSet)`` reports, and each
+    reported emitter's report bba, built once. Nothing here reads
+    ``config.rule``, so every rule can fold the same draw."""
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    pdb = build_pdb(config, rng)
+    reports = tuple(gen_report(pdb, config, rng) for _ in range(config.n_reports))
+    bbas = {e: report_bba(s, pdb.frame, config.report_mass) for e, s in dict(reports).items()}
+    return pdb, reports, bbas
+
+
+def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
+    """Fold a drawn report stream through the configured rule, starting from
+    the vacuous bba, recording conflict, pignistic values, and the max-BetP
     decision after every step. Each step makes one pair pass, which yields
-    both the fused state and its k12.
+    both the fused state and its k12. ``drawn`` must be ``draw`` of a config
+    that differs from ``config`` at most in ``rule``.
 
     A Dempster total-conflict failure mid-run truncates the trajectory and
     is reported through ``failed_at`` rather than raised: demonstrating the
     rule's limit of applicability is a legitimate measurement.
     """
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    pdb = build_pdb(config, rng)
-    reports = tuple(gen_report(pdb, config, rng) for _ in range(config.n_reports))
-
+    pdb, reports, bbas = drawn
     state = vacuous(pdb.frame)
     records: list[TrajectoryRecord] = []
     failed_at: Optional[int] = None
     for step, (emitter, report_set) in enumerate(reports, start=1):
-        rb = report_bba(report_set, pdb.frame, config.report_mass)
         try:
-            state, k12 = _step(config.rule, state, rb)
+            state, k12 = _step(config.rule, state, bbas[emitter])
         except TotalConflictError:
             failed_at = step
             break
         p = betp(state)
         d = decide(p)
-        records.append(
-            TrajectoryRecord(
-                step=step,
-                reported_emitter=emitter,
-                report_set_size=report_set.cardinality,
-                conflict_k12=k12,
-                betp_truth=p.probs[config.truth_index],
-                betp_similar=(
-                    None
-                    if config.similar_target is None
-                    else p.probs[config.similar_target]
-                ),
-                decided_index=d.index,
-                tie=d.tie,
-            )
-        )
-    return ScenarioResult(
-        config, pdb, reports, tuple(records), failed_at, final_state=state
-    )
+        similar = None if config.similar_target is None else p.probs[config.similar_target]
+        records.append(TrajectoryRecord(
+            step=step, reported_emitter=emitter, report_set_size=report_set.cardinality,
+            conflict_k12=k12, betp_truth=p.probs[config.truth_index], betp_similar=similar,
+            decided_index=d.index, tie=d.tie))
+    return ScenarioResult(config, pdb, reports, tuple(records), failed_at, final_state=state)
+
+
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """``fold`` the config's own ``draw``."""
+    return fold(config, draw(config))
 
 
 def write_trajectory_csv(path: str, result: ScenarioResult) -> None:

@@ -283,7 +283,7 @@ def _dp_weights(m1, m2):
     k12 = conflict(m1, m2).total
     weights: dict[FocalSet, float] = {}
     for s in pcr_shares(m1, m2):
-        u = s.x | s.y
+        u = FocalSet(s.x.bits | s.y.bits, s.x.width)
         weights[u] = weights.get(u, 0.0) + s.product / k12
     return weights
 

@@ -317,6 +317,37 @@ class TestCli:
         content = (tmp_path / "o" / "trajectory_pcr_seed7.csv").read_text()
         assert content.strip() == "step,rule,emitter,set_size,k12,betp_truth,betp_similar,decided,tie"
 
+    def test_scenario_draws_once_for_every_rule(self, tmp_path, monkeypatch):
+        # One database and one report bba per distinct emitter serve all six
+        # rules; building them per rule and per step would also pass the
+        # byte checks, so count the builds.
+        from belieffusion import scenario
+
+        calls = {"build_pdb": 0, "report_bba": 0}
+        for name in calls:
+            original = getattr(scenario, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(scenario, name, counting)
+        config = {"n_targets": 8, "n_emitters": 16, "emitters_per_target": [2, 4],
+                  "truth_index": 2, "similar_target": 3, "n_reports": 25, "seed": 7}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        rules = ["dempster", "yager", "inagaki", "pcr", "dubois-prade", "sacr"]
+        assert main(["scenario", "--config", str(cfg), "--out", str(tmp_path),
+                     "--rules", ",".join(rules)]) == 0
+        emitters = {
+            rule: [line.split(",")[2] for line in
+                   (tmp_path / f"trajectory_{rule}_seed7.csv").read_text().splitlines()[1:]]
+            for rule in rules
+        }
+        assert all(column == emitters["pcr"] for column in emitters.values())
+        assert calls == {"build_pdb": 1, "report_bba": len(set(emitters["pcr"]))}
+        assert len(set(emitters["pcr"])) < 25
+
     @pytest.mark.parametrize(
         "overrides,extra,cause",
         [
@@ -495,7 +526,8 @@ PACKAGE_NAMES = {
               "dempster", "dsmh", "dubois_prade", "inagaki_extreme", "inagaki_generic", "pcr",
               "pcr_shares", "sacr", "smets", "yager"],
     "scenario": ["PlatformDatabase", "ScenarioConfig", "ScenarioError", "ScenarioResult",
-                 "TrajectoryRecord", "build_pdb", "gen_report", "report_bba", "run_scenario"],
+                 "TrajectoryRecord", "build_pdb", "gen_report", "report_bba", "draw", "fold",
+                 "run_scenario"],
 }
 
 
