@@ -13,12 +13,15 @@ Exit codes: 0 success, 2 bad command line (unknown option or choice, missing
 argument) or parse/validation/config failure (an unknown key in a bba file or
 config included; a config is checked when built, so ``scenario`` checks every
 run, ``smets`` and an empty or repeated ``--rules`` entry included, before it
-writes anything), 3 frame mismatch, 4 total conflict or degenerate
-combination, 5 I/O error. Each failure prints one ``belieffusion: <cause>``
-line; diagnostics go to stderr, data to stdout.
+writes anything), 3 frame mismatch, 4 a ``combine`` rule that cannot fuse
+(total conflict or degenerate combination), 5 I/O error. Each failure prints
+one ``belieffusion: <cause>`` line; diagnostics go to stderr, data to stdout.
 
 ``scenario`` draws the database and the report stream once and folds that one
-draw under each ``--rules`` entry, so every rule fuses the same reports.
+draw under each ``--rules`` entry, so every rule fuses the same reports. A rule
+that cannot fuse a report (k12 = 1 under ``dempster`` or ``inagaki``) ends its
+trajectory there: ``failed_at`` records the step, one line names the rule and
+the step, and the sweep goes on with exit 0.
 
 ``combine``, ``conflict`` and ``rules`` load neither ``decision``, ``scenario``
 nor numpy; ``betp`` loads ``decision`` and numpy, ``scenario`` all three. Both
@@ -38,7 +41,7 @@ from collections.abc import Sequence
 from . import core  # looked up per call, so wrappers installed on it apply
 from .core import FrameMismatchError, MassFunction, ScenarioError, validate
 from .massio import MassFormatError, mass_to_dict, read_json, read_mass, write_mass
-from .rules import RULES, DegenerateError, TotalConflictError
+from .rules import RULES, DegenerateError
 
 # decision and scenario are imported by the commands that use them, so the others skip them.
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
@@ -59,7 +62,6 @@ EXIT_CODES: dict[type[Exception], int] = {
     MassFormatError: EXIT_INPUT,
     ScenarioError: EXIT_INPUT,
     FrameMismatchError: EXIT_FRAME_MISMATCH,
-    TotalConflictError: EXIT_TOTAL_CONFLICT,
     DegenerateError: EXIT_TOTAL_CONFLICT,
     OSError: EXIT_IO,
 }
@@ -143,11 +145,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         write_trajectory_csv(stem + ".csv", result)
         write_metadata(stem + ".meta.json", result)
         if result.failed_at is not None:
-            print(
-                f"belieffusion: rule {run.rule!r} hit total conflict at step "
-                f"{result.failed_at}; trajectory truncated",
-                file=sys.stderr,
-            )
+            print(f"belieffusion: rule {run.rule!r} hit total conflict at step "
+                  f"{result.failed_at}; trajectory truncated", file=sys.stderr)
     return EXIT_OK
 
 

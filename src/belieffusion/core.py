@@ -84,12 +84,13 @@ class _Record:
 
 
 class Frame(_Record):
-    """An ordered set of exclusive, exhaustive hypothesis labels, ``size`` of them."""
+    """An ordered tuple of exclusive, exhaustive hypothesis labels, ``size`` of them."""
 
     __slots__ = ("labels", "size")
     _fields = ("labels",)
 
-    def __init__(self, labels: tuple[str, ...]) -> None:
+    def __init__(self, labels: Iterable[str]) -> None:
+        labels = tuple(labels)
         if not labels:
             raise ValueError("frame needs at least one label")
         seen: set[str] = set()
@@ -126,9 +127,7 @@ class Frame(_Record):
         return FocalSet(bits, self.size)
 
 
-def make_frame(labels: Iterable[str]) -> Frame:
-    """Build a frame from an ordered sequence of distinct non-empty labels."""
-    return Frame(tuple(labels))
+make_frame = Frame  # the constructor under its function-style name, which the demos use
 
 
 class FocalSet(_Record):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .core import FocalSet, Frame, MassFunction, make_frame
+from .core import FocalSet, Frame, MassFunction
 
 __all__ = ["MassFormatError", "mass_to_dict", "mass_from_dict", "read_json", "read_mass",
            "write_mass"]
@@ -60,7 +60,7 @@ def mass_from_dict(doc: object) -> MassFunction:
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise MassFormatError("'frame' must be an array of labels")
     try:
-        frame = make_frame(labels)
+        frame = Frame(labels)
     except ValueError as exc:
         raise MassFormatError(str(exc)) from None
     open_world = doc.get("open_world", False)

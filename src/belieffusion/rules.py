@@ -47,12 +47,12 @@ __all__ = [
 TOTAL_CONFLICT_TOL = 1e-12
 
 
-class TotalConflictError(ArithmeticError):
-    """Dempster's rule was applied at k12 = 1, where it cannot be used."""
-
-
 class DegenerateError(ArithmeticError):
-    """The rule's redistribution target is empty or its formula is undefined."""
+    """The rule cannot fuse: its redistribution target is empty or its formula undefined."""
+
+
+class TotalConflictError(DegenerateError):
+    """Dempster's rule was applied at k12 = 1, where it cannot be used."""
 
 
 class InvalidBetaError(ValueError):

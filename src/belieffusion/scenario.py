@@ -26,10 +26,10 @@ from typing import Any, Optional
 import numpy as np
 
 # conflict is unused here but stays bound: tracing tools patch it by name.
-from .core import FocalSet, Frame, MassFunction, conflict, make_frame, vacuous  # noqa: F401
+from .core import FocalSet, Frame, MassFunction, conflict, vacuous  # noqa: F401
 from .core import ScenarioError  # lives in core so the CLI can map it without this module
 from .decision import betp, decide
-from .rules import RULES, TotalConflictError, _step
+from .rules import RULES, DegenerateError, _step
 
 __all__ = [
     "ScenarioError",
@@ -198,7 +198,7 @@ def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatab
     order = itertools.cycle(int(t) for t in rng.permutation(others))
     for e in range(lo, config.n_emitters):
         index[e] = frozenset(itertools.islice(order, breadth))
-    return PlatformDatabase(make_frame(_target_labels(config.n_targets)), index)
+    return PlatformDatabase(Frame(_target_labels(config.n_targets)), index)
 
 
 def gen_report(
@@ -257,9 +257,9 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
     both the fused state and its k12. ``drawn`` must be ``draw`` of a config
     that differs from ``config`` at most in ``rule``.
 
-    A Dempster total-conflict failure mid-run truncates the trajectory and
-    is reported through ``failed_at`` rather than raised: demonstrating the
-    rule's limit of applicability is a legitimate measurement.
+    A rule that cannot fuse (``DegenerateError``, ``TotalConflictError``
+    included) ends the trajectory at that step, reported through ``failed_at``
+    rather than raised: a rule's limit of applicability is a measurement.
     """
     pdb, reports, bbas = drawn
     state = vacuous(pdb.frame)
@@ -268,7 +268,7 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
     for step, (emitter, report_set) in enumerate(reports, start=1):
         try:
             state, k12 = _step(config.rule, state, bbas[emitter])
-        except TotalConflictError:
+        except DegenerateError:
             failed_at = step
             break
         p = betp(state)

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from belieffusion import core
 from belieffusion import (
     FocalSet,
+    Frame,
     FrameMismatchError,
     MassFunction,
     conflict,
     conjunctive,
     disjunctive,
     make_frame,
+    pcr,
     vacuous,
     validate,
 )
@@ -51,6 +53,16 @@ class TestFrame:
     def test_no_labels(self):
         with pytest.raises(ValueError):
             make_frame([])
+
+    def test_built_from_a_list_is_the_frame_make_frame_builds(self):
+        # A list must be stored as a tuple: a frame holding the list is unhashable
+        # and unequal to make_frame's, so fusing bbas on the two would raise
+        # FrameMismatchError.
+        direct, made = Frame(["A", "B"]), make_frame(["A", "B"])
+        assert direct.labels == ("A", "B")
+        assert direct == made and hash(direct) == hash(made)
+        fused = pcr(bba(direct, {"A": 0.6, "B": 0.4}), bba(made, {"A": 0.3, "B": 0.7}))
+        assert validate(fused).ok
 
     def test_stable_indexing(self):
         f = make_frame(["B", "A"])

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from belieffusion import conjunctive, make_frame, validate
+from belieffusion import DegenerateError, TotalConflictError, conjunctive, make_frame, validate
 from belieffusion.cli import main
 from belieffusion.massio import (
     MassFormatError,
@@ -196,6 +196,10 @@ class TestCli:
         assert result.returncode == 4
         assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
+    def test_total_conflict_is_a_degenerate_combination(self):
+        # One EXIT_CODES entry and one except clause in scenario.fold cover both.
+        assert issubclass(TotalConflictError, DegenerateError)
+
     def test_missing_input_exit_5(self, tmp_path):
         result = run_cli("betp", str(tmp_path / "missing.json"))
         assert result.returncode == 5
@@ -347,6 +351,29 @@ class TestCli:
         assert all(column == emitters["pcr"] for column in emitters.values())
         assert calls == {"build_pdb": 1, "report_bba": len(set(emitters["pcr"]))}
         assert len(set(emitters["pcr"])) < 25
+
+    def test_scenario_rule_that_cannot_fuse_ends_only_its_run(self, tmp_path):
+        # Categorical reports: step 3 contradicts the earlier ones, so dempster and
+        # inagaki cannot fuse it. Each run ends there; the sweep goes on to pcr.
+        config = {"n_targets": 8, "n_emitters": 16, "emitters_per_target": [2, 4],
+                  "truth_index": 2, "n_reports": 5, "report_mass": 1.0}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(out), "--seed", "3",
+                         "--rules", "dempster,inagaki,pcr")
+        assert result.returncode == 0, result.stderr
+        assert len(list(out.iterdir())) == 6
+        assert result.stderr.splitlines() == [
+            f"belieffusion: rule {rule!r} hit total conflict at step 3; trajectory truncated"
+            for rule in ("dempster", "inagaki")
+        ]
+        failed_at = {}
+        for rule in ("dempster", "inagaki", "pcr"):
+            assert (out / f"trajectory_{rule}_seed3.csv").stat().st_size > 0
+            meta = json.loads((out / f"trajectory_{rule}_seed3.meta.json").read_text())
+            failed_at[rule] = meta["failed_at"]
+        assert failed_at == {"dempster": 3, "inagaki": 3, "pcr": None}
 
     @pytest.mark.parametrize(
         "overrides,extra,cause",

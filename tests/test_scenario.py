@@ -390,9 +390,11 @@ class TestRunScenario:
         with pytest.raises(ScenarioError, match="seed"):
             run_scenario(make_config(seed=-1))
 
-    def test_dempster_total_conflict_truncates(self):
+    # inagaki_extreme raises DegenerateError, not TotalConflictError, at the same k12 = 1.
+    @pytest.mark.parametrize("rule", ["dempster", "inagaki"])
+    def test_total_conflict_truncates(self, rule):
         # Categorical reports make the first contradictory report fatal.
-        cfg = make_config(rule="dempster", report_mass=1.0, n_reports=25, seed=3)
+        cfg = make_config(rule=rule, report_mass=1.0, n_reports=25, seed=3)
         result = run_scenario(cfg)
         assert result.failed_at == 3
         assert len(result.records) == result.failed_at - 1
