@@ -24,8 +24,9 @@ trajectory there: ``failed_at`` records the step, one line names the rule and
 the step, and the sweep goes on with exit 0.
 
 ``combine``, ``conflict`` and ``rules`` load neither ``decision``, ``scenario``
-nor numpy; ``betp`` loads ``decision`` and numpy, ``scenario`` all three. Both
-modules import numpy when they load, so only the commands that use them import
+nor numpy; ``betp`` loads ``decision``, and numpy only for a bba whose focal
+sets hold more than ``decision``'s loop budget of members (128); ``scenario``
+loads all three. Only the commands that use ``decision`` and ``scenario`` import
 them. Only ``scenario`` loads ``dataclasses``, and no command that skips numpy
 loads ``inspect``.
 """

@@ -276,7 +276,8 @@ def _pair_pass(
     (k12 under key 0), the disjoint pairs ``(x, y, m1(x), m2(y))`` and, when
     ``union`` is set, the ∪-table (otherwise ``None``).
     """
-    if m1.frame != m2.frame:
+    # A fold's frames are one object, and the identity test skips `__eq__`.
+    if m1.frame is not m2.frame and m1.frame != m2.frame:
         raise FrameMismatchError("mass functions defined on different frames")
     if m1.open_world or m2.open_world:
         raise ValueError("combination inputs must be closed-world bbas")

@@ -15,18 +15,18 @@ and its report bbas once; ``fold`` runs one rule over them.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import typing
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
 # conflict is unused here but stays bound: tracing tools patch it by name.
 from .core import FocalSet, Frame, MassFunction, conflict, vacuous  # noqa: F401
+from .core import FrameMismatchError, _mass, _number
 from .core import ScenarioError  # lives in core so the CLI can map it without this module
 from .decision import betp, decide
 from .rules import RULES, DegenerateError, _step
@@ -195,7 +195,7 @@ def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatab
     index = {e: x_owners for e in range(lo)}
     index[common] = frozenset([truth, *others])
     breadth = min(hi, len(others))
-    order = itertools.cycle(int(t) for t in rng.permutation(others))
+    order = itertools.cycle(rng.permutation(others).tolist())
     for e in range(lo, config.n_emitters):
         index[e] = frozenset(itertools.islice(order, breadth))
     return PlatformDatabase(Frame(_target_labels(config.n_targets)), index)
@@ -216,15 +216,19 @@ def gen_report(
 
 def report_bba(report_set: FocalSet, frame: Frame, report_mass: float) -> MassFunction:
     """Turn a reported target set into a simple bba: mass on the set, the
-    remainder on total ignorance."""
+    remainder on total ignorance. The mass function's checks are made here,
+    on the two entries, and its int table is built directly."""
     if report_set.is_empty:
         raise ValueError("a report must name at least one target")
-    entries: dict[FocalSet, float] = {report_set: report_mass}
-    rest = 1.0 - report_mass
+    if report_set.width != frame.size:
+        raise FrameMismatchError("focal set width does not match frame")
+    mass = _number(frame, report_set, report_mass)
+    table = {report_set.bits: mass}
+    rest = 1.0 - mass
     if rest:
-        full = frame.full_set()
-        entries[full] = entries.get(full, 0.0) + rest
-    return MassFunction(frame, entries)
+        full = (1 << frame.size) - 1
+        table[full] = table.get(full, 0.0) + rest
+    return _mass(frame, table)
 
 
 TrajectoryRecord = namedtuple("TrajectoryRecord", "step reported_emitter report_set_size "
@@ -287,31 +291,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
 
 def write_trajectory_csv(path: str, result: ScenarioResult) -> None:
-    """One row per completed step; floats use shortest round-trip decimals so
-    identical runs produce byte-identical files."""
+    """One row per completed step, written at once; floats use shortest
+    round-trip decimals so identical runs produce byte-identical files. No
+    field needs quoting: the rule is a ``RULES`` name and the rest numbers."""
+    rule = result.config.rule
+    lines = [",".join(TRAJECTORY_HEADER)]
+    for r in result.records:
+        similar = "" if r.betp_similar is None else repr(r.betp_similar)
+        tie = "true" if r.tie else "false"
+        lines.append(f"{r.step},{rule},{r.reported_emitter},{r.report_set_size},"
+                     f"{r.conflict_k12!r},{r.betp_truth!r},{similar},{r.decided_index},{tie}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRAJECTORY_HEADER)
-        for r in result.records:
-            writer.writerow(
-                [
-                    r.step,
-                    result.config.rule,
-                    r.reported_emitter,
-                    r.report_set_size,
-                    repr(r.conflict_k12),
-                    repr(r.betp_truth),
-                    "" if r.betp_similar is None else repr(r.betp_similar),
-                    r.decided_index,
-                    "true" if r.tie else "false",
-                ]
-            )
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_metadata(path: str, result: ScenarioResult) -> None:
     """The config, field by field, plus the RNG algorithm and ``failed_at``."""
-    doc = asdict(result.config)
-    doc.update(rng_algorithm=RNG_ALGORITHM, failed_at=result.failed_at)
+    doc = dict(vars(result.config), rng_algorithm=RNG_ALGORITHM, failed_at=result.failed_at)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +18,14 @@ from belieffusion import (
     pcr,
     vacuous,
 )
+from belieffusion import decision
 
 from conftest import EX1, FRAME_AB, ZADEH, bba
 from test_core import frame_and_bbas
+
+# betp's member budget that puts every bba on each path: above any bba's
+# Σ|A| for the plain loop, and 0 for numpy.
+PATH_BUDGETS = {"loop": sys.maxsize, "numpy": 0}
 
 
 class TestBetp:
@@ -39,14 +45,18 @@ class TestBetp:
         p = betp(dempster(*ZADEH))
         assert p.prob("C") == pytest.approx(1.0, abs=1e-12)
 
-    def test_open_world_rejected(self):
-        with pytest.raises(ValueError, match="closed-world"):
-            betp(conjunctive(*EX1))
+    def test_open_world_rejected(self, monkeypatch):
+        for budget in PATH_BUDGETS.values():
+            monkeypatch.setattr(decision, "_BETP_LOOP_MEMBERS", budget)
+            with pytest.raises(ValueError, match="closed-world"):
+                betp(conjunctive(*EX1))
 
-    def test_mass_on_empty_set_named(self):
+    def test_mass_on_empty_set_named(self, monkeypatch):
         m = MassFunction(FRAME_AB, {FRAME_AB.empty_set(): 0.5, FRAME_AB.full_set(): 0.5})
-        with pytest.raises(ValueError, match="mass on ∅"):
-            betp(m)
+        for budget in PATH_BUDGETS.values():
+            monkeypatch.setattr(decision, "_BETP_LOOP_MEMBERS", budget)
+            with pytest.raises(ValueError, match="mass on ∅"):
+                betp(m)
 
     def test_mass_conservation(self):
         p = betp(pcr(*ZADEH))
@@ -83,6 +93,14 @@ def random_wide_bba(width, count, seed):
 
 
 class TestBetpExact:
+    """Every case on the numpy path; ``TestBetpExactLoop`` runs them on the loop."""
+
+    PATH = "numpy"
+
+    @pytest.fixture(autouse=True)
+    def _path(self, monkeypatch):
+        monkeypatch.setattr(decision, "_BETP_LOOP_MEMBERS", PATH_BUDGETS[self.PATH])
+
     @pytest.mark.parametrize("count", [1, 255, 256, 257, 600])
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 65, 135, 200])
     def test_matches_reference_loop(self, width, count):
@@ -127,6 +145,40 @@ class TestBetpExact:
         assert betp(m).probs[0] == 1.0
         label0 = np.array([v / fs.cardinality for fs, v in m.entries.items()])
         assert np.add.reduce(label0) != 1.0
+
+
+class TestBetpExactLoop(TestBetpExact):
+    PATH = "loop"
+
+
+def bba_of_members(total, width, seed):
+    """A bba on ``width`` labels whose focal sets hold ``total`` members in all."""
+    rng = random.Random(seed)
+    masks = {}
+    while total:
+        bits = sum(1 << i for i in rng.sample(range(width), min(total, rng.randint(1, width))))
+        if bits not in masks:
+            masks[bits] = rng.random()
+            total -= bits.bit_count()
+    frame = make_frame([f"h{i}" for i in range(width)])
+    norm = sum(masks.values())
+    return MassFunction(frame, {FocalSet(b, width): v / norm for b, v in masks.items()})
+
+
+@pytest.mark.parametrize("width", [20, 135])
+def test_betp_paths_meet_at_the_member_budget(monkeypatch, width):
+    """At Σ|A| equal to the budget betp runs the loop, one member more runs
+    numpy, and both give the reference loop's bits."""
+    numpy_calls = []
+    numpy_path = decision._betp_numpy
+    monkeypatch.setattr(decision, "_betp_numpy",
+                        lambda *a: numpy_calls.append(1) or numpy_path(*a))
+    budget = decision._BETP_LOOP_MEMBERS
+    for total, calls in ((budget, 0), (budget + 1, 1)):
+        m = bba_of_members(total, width, seed=total)
+        assert sum(fs.cardinality for fs in m.entries) == total
+        assert betp(m).probs == reference_betp(m)
+        assert len(numpy_calls) == calls
 
 
 @settings(max_examples=100, deadline=None)

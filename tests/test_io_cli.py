@@ -4,8 +4,16 @@ import sys
 
 import pytest
 
-from belieffusion import DegenerateError, TotalConflictError, conjunctive, make_frame, validate
+from belieffusion import (
+    DegenerateError,
+    MassFunction,
+    TotalConflictError,
+    conjunctive,
+    make_frame,
+    validate,
+)
 from belieffusion.cli import main
+from belieffusion.decision import _BETP_LOOP_MEMBERS
 from belieffusion.massio import (
     MassFormatError,
     mass_from_dict,
@@ -490,6 +498,15 @@ ACCEPTANCE_CONFIG = {
 }
 
 
+# A 135-label bba of 340 member visits (Σ|A|), above betp's loop budget.
+WIDE_FRAME = make_frame([f"t{i:03d}" for i in range(135)])
+WIDE_BBA = MassFunction(WIDE_FRAME, {
+    WIDE_FRAME.full_set(): 0.4,
+    WIDE_FRAME.subset_of_indices(range(100)): 0.35,
+    WIDE_FRAME.subset_of_indices(range(30, 135)): 0.25,
+})
+
+
 @pytest.mark.parametrize(
     "argv,loads_numpy,modules,no_stdlib",
     [
@@ -497,11 +514,12 @@ ACCEPTANCE_CONFIG = {
         (["combine", "--rule", "pcr", "{m1}", "{m2}"], False, [], ["dataclasses", "inspect"]),
         (["conflict", "{m1}", "{m2}"], False, [], ["dataclasses", "inspect"]),
         (["rules"], False, [], ["dataclasses", "inspect"]),
-        (["betp", "{m1}"], True, ["decision"], ["dataclasses"]),
+        (["betp", "{m1}"], False, ["decision"], ["dataclasses", "inspect"]),
+        (["betp", "{wide}"], True, ["decision"], ["dataclasses"]),
         (["scenario", "--config", "{config}", "--out", "{out}"], True, ["decision", "scenario"],
          []),
     ],
-    ids=["import", "combine", "conflict", "rules", "betp", "scenario"],
+    ids=["import", "combine", "conflict", "rules", "betp", "betp-wide", "scenario"],
 )
 def test_numpy_loaded_only_by_betp_and_scenario(
     tmp_path, capsys, example_files, argv, loads_numpy, modules, no_stdlib
@@ -509,12 +527,16 @@ def test_numpy_loaded_only_by_betp_and_scenario(
     """In a fresh interpreter (this one imported numpy through conftest),
     importing the package and the CLI loads no numpy and neither ``decision``
     nor ``scenario``, nor do the commands that never call them; ``betp`` loads
-    ``decision`` and numpy, ``scenario`` all three, and both produce the same
-    output as an in-process run. None but ``scenario`` loads ``dataclasses``,
-    and none that skips numpy loads ``inspect``."""
+    ``decision``, and numpy only for a bba above its loop's member budget,
+    ``scenario`` all three, and each produces the same output as an
+    in-process run. None but ``scenario`` loads ``dataclasses``, and none that
+    skips numpy loads ``inspect``."""
+    assert sum(fs.cardinality for fs in WIDE_BBA.entries) > _BETP_LOOP_MEMBERS
     config = tmp_path / "config.json"
     config.write_text(json.dumps(ACCEPTANCE_CONFIG), encoding="utf-8")
-    paths = dict(m1=example_files[0], m2=example_files[1], config=str(config))
+    wide = tmp_path / "wide.json"
+    write_mass(str(wide), WIDE_BBA)
+    paths = dict(m1=example_files[0], m2=example_files[1], config=str(config), wide=str(wide))
     code = (
         "import sys\n"
         "import belieffusion, belieffusion.cli\n"
