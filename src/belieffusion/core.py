@@ -130,6 +130,14 @@ class Frame(_Record):
 make_frame = Frame  # the constructor under its function-style name, which the demos use
 
 
+def _indices(bits: int) -> Iterator[int]:
+    """The indices of the set bits of ``bits``, in ascending order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 class FocalSet(_Record):
     """A subset of a frame, stored as an arbitrary-width bit vector.
 
@@ -160,11 +168,7 @@ class FocalSet(_Record):
 
     def indices(self) -> Iterator[int]:
         """Member indices in ascending order, visiting set bits only."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return _indices(self.bits)
 
     def members(self, frame: Frame) -> tuple[str, ...]:
         if frame.size != self.width:

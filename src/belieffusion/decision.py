@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import MassFunction
+from .core import MassFunction, _indices
 
 __all__ = ["PignisticDistribution", "Decision", "betp", "decide", "TIE_TOL"]
 
@@ -25,10 +25,19 @@ Decision = namedtuple("Decision", "index probability tie")
 
 
 # The most member visits, Σ|A| over the focal sets, for which ``betp`` runs
-# its plain loop: about where the loop's per-member cost overtakes numpy's
-# fixed cost per call (about 17 µs), 128 members on a 20-label frame and 93
-# on a 135-label one.
-_BETP_LOOP_MEMBERS = 128
+# its plain loop. Least-squares fits of both paths per call, over the states
+# of desk and wide-union folds taken in fold order (so with the memo's real
+# misses), cross at 338-385 members on 20 labels and 343-353 on 135: reading
+# member indices from the memo, the loop's cost per member (52-94 ns) no
+# longer grows with the frame's width, so one budget serves every width.
+# 320 sits just below both crossings.
+_BETP_LOOP_MEMBERS = 320
+
+# The loop's process-wide memo: a set's int mask → its member indices in
+# ascending order. A fold meets the same sets step after step, so most
+# lookups hit; the memo is emptied once it holds _MEMBERS_MAX sets.
+_MEMBERS: dict[int, tuple[int, ...]] = {}
+_MEMBERS_MAX = 1024
 
 # Rows of the member matrix expanded at once; bounds the int64 select block
 # to 256 × frame-size × 8 bytes however many focal sets the bba holds.
@@ -44,7 +53,10 @@ def betp(m: MassFunction) -> PignisticDistribution:
     entry after entry in storage order: the additions of ``probs[i] += share``,
     so they give the same bits. Σ|A|, the loop's member visits, picks the
     path: up to ``_BETP_LOOP_MEMBERS`` a plain loop, above it numpy, which is
-    imported only then, so ``betp`` on a small bba never loads numpy.
+    imported only then, so ``betp`` on a small bba never loads numpy. The
+    loop reads each set's member indices from ``_MEMBERS``, a bounded,
+    process-wide memo keyed by the set's int mask, so a set seen before costs
+    no bit scan; the additions, and so the bits, are the same either way.
 
     The numpy path places each share on its members by an integer select:
     the 0/1 ``uint8`` member flag times the share's int64 bits is ``+0.0``
@@ -60,18 +72,29 @@ def betp(m: MassFunction) -> PignisticDistribution:
     table = m._table
     if 0 in table:
         raise ValueError("closed-world bba carries mass on ∅, which has no pignistic home")
-    # Every stored set has a member, so a table longer than the budget is
-    # above it without counting: a large bba pays no Σ|A| pass.
-    if len(table) > _BETP_LOOP_MEMBERS or sum(map(int.bit_count, table)) > _BETP_LOOP_MEMBERS:
-        return PignisticDistribution(m.frame, _betp_numpy(table, m.frame.size))
-    probs = [0.0] * m.frame.size
+    # len(table) ≤ Σ|A| ≤ len(table) × |Θ|, so either bound settles most
+    # calls without counting: a small or a large bba pays no Σ|A| pass.
+    n = m.frame.size
+    if len(table) * n > _BETP_LOOP_MEMBERS and (
+        len(table) > _BETP_LOOP_MEMBERS or sum(map(int.bit_count, table)) > _BETP_LOOP_MEMBERS
+    ):
+        return PignisticDistribution(m.frame, _betp_numpy(table, n))
+    probs = [0.0] * n
     for z, v in table.items():
-        share = v / z.bit_count()
-        while z:
-            i = z.bit_length() - 1
+        members = _MEMBERS.get(z) or _members(z)
+        share = v / len(members)
+        for i in members:
             probs[i] += share
-            z ^= 1 << i
     return PignisticDistribution(m.frame, tuple(probs))
+
+
+def _members(z: int) -> tuple[int, ...]:
+    """The member indices of the non-empty set ``z``, stored in ``_MEMBERS``,
+    which is emptied first once it holds ``_MEMBERS_MAX`` sets."""
+    if len(_MEMBERS) >= _MEMBERS_MAX:
+        _MEMBERS.clear()
+    members = _MEMBERS[z] = tuple(_indices(z))
+    return members
 
 
 def _betp_numpy(table: dict[int, float], n: int) -> tuple[float, ...]:
@@ -96,7 +119,12 @@ def _betp_numpy(table: dict[int, float], n: int) -> tuple[float, ...]:
 
 def decide(p: PignisticDistribution) -> Decision:
     """Pick the most probable singleton; ties (within TIE_TOL of the max)
-    resolve to the lowest frame index with the tie flag set."""
+    resolve to the lowest frame index with the tie flag set. Raises
+    ValueError naming the label when the largest probability is inf or nan,
+    which no label can be within TIE_TOL of."""
     best = max(p.probs)
     tied = [i for i, v in enumerate(p.probs) if best - v <= TIE_TOL]
+    if not tied:
+        i = p.probs.index(best) if best == best else 0
+        raise ValueError(f"no decision: BetP({p.frame.labels[i]}) is {p.probs[i]!r}")
     return Decision(tied[0], p.probs[tied[0]], len(tied) > 1)

@@ -8,8 +8,9 @@ Every rule consumes two validated closed-world mass functions on a shared
 frame and is a pure function of its inputs. Each one is a short policy over
 a single call of the core pair pass: it reads the ∩-table (k12 under key 0),
 the disjoint pairs and, for the adaptive mixture, the ∪-table, decides where
-the conflicting mass goes, and returns the output table and the disjoint
-pairs. ``_step``, one step of ``scenario.fold``, also sums k12 from those pairs.
+the conflicting mass goes, and returns the output table, the disjoint pairs
+and, when it summed them itself, their sorted k12. ``_step``, one step of
+``scenario.fold``, sums k12 from the pairs only when the policy did not.
 """
 
 from __future__ import annotations
@@ -59,10 +60,15 @@ class InvalidBetaError(ValueError):
     """A supplied mixture weighting violates its endpoint contract."""
 
 
+# What a policy returns: the output table, the disjoint pairs, and their k12
+# summed in sorted order, or None when the policy had no need to sum it.
+Policy = tuple[Table, Pairs, float | None]
+
+
 class _rule:
     """The public rule of a policy: its output table as a mass function."""
 
-    def __init__(self, policy: Callable[..., tuple[Table, Pairs]]) -> None:
+    def __init__(self, policy: Callable[..., Policy]) -> None:
         update_wrapper(self, policy)
 
     def __call__(self, m1: MassFunction, m2: MassFunction, *args) -> MassFunction:
@@ -85,7 +91,7 @@ def _split(m1: MassFunction, m2: MassFunction) -> tuple[float, Table, Pairs]:
 
 
 @_rule
-def dempster(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
+def dempster(m1: MassFunction, m2: MassFunction) -> Policy:
     """Normalized conjunctive rule: divide each non-empty conjunctive mass by
     their sum (1 - k12, free of input drift). Raises TotalConflictError at k12 = 1."""
     _, out, disjoint = _split(m1, m2)
@@ -94,7 +100,7 @@ def dempster(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
         raise TotalConflictError(
             "total conflict between sources (k12=1); Dempster's rule cannot be used"
         )
-    return {z: v / norm for z, v in out.items()}, disjoint
+    return {z: v / norm for z, v in out.items()}, disjoint, None
 
 
 # Smets' unnormalized rule is the conjunctive operator: the conflict stays on ∅.
@@ -102,23 +108,23 @@ smets = conjunctive
 
 
 @_rule
-def yager(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
+def yager(m1: MassFunction, m2: MassFunction) -> Policy:
     """Conjunctive rule with the conflict transferred to total ignorance."""
     k12, out, disjoint = _split(m1, m2)
     if k12:
         full = (1 << m1.frame.size) - 1
         out[full] = out.get(full, 0.0) + k12
-    return out, disjoint
+    return out, disjoint, None
 
 
 @_rule
-def dubois_prade(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
+def dubois_prade(m1: MassFunction, m2: MassFunction) -> Policy:
     """Conjunctive masses plus each disjoint pair's product moved to X∪Y."""
     _, out, disjoint = _split(m1, m2)
     for x, y, a, b in disjoint:
         u = x | y
         out[u] = out.get(u, 0.0) + a * b
-    return out, disjoint
+    return out, disjoint, None
 
 
 # Static two-source DSmH on an exclusive frame coincides with Dubois & Prade's rule.
@@ -128,7 +134,7 @@ dsmh = dubois_prade
 @_rule
 def inagaki_generic(
     m1: MassFunction, m2: MassFunction, weights: Mapping[FocalSet, float]
-) -> tuple[Table, Pairs]:
+) -> Policy:
     """Inagaki's weighted redistribution: each non-empty A receives
     m∧(A) + w(A)·k12 for a caller-chosen unit-sum weight assignment, which
     is checked as a closed-world bba on the inputs' frame."""
@@ -141,17 +147,17 @@ def inagaki_generic(
         share = v * k12
         if share:
             out[z] = out.get(z, 0.0) + share
-    return out, disjoint
+    return out, disjoint, None
 
 
 @_rule
-def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
+def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> Policy:
     """The extremal member of Inagaki's family: the conflict is distributed
     so that ratios between the masses of any two sets other than the frame
     are preserved. Θ keeps its conjunctive mass."""
     k12, out, disjoint = _split(m1, m2)
     if k12 == 0.0:
-        return out, disjoint
+        return out, disjoint, None
     full = (1 << m1.frame.size) - 1
     theta_mass = out.pop(full, 0.0)
     s = _sum_in_order(out.values())
@@ -161,7 +167,7 @@ def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
     out = {z: v * factor for z, v in out.items()}
     if theta_mass:
         out[full] = theta_mass
-    return out, disjoint
+    return out, disjoint, None
 
 
 def alpha0(k: float) -> float:
@@ -176,20 +182,21 @@ def beta0(k: float) -> float:
 
 def _acr_combine(
     m1: MassFunction, m2: MassFunction, mix: Callable[[float], tuple[float, float]]
-) -> tuple[Table, Pairs]:
+) -> Policy:
     """The mixture α·m∨ + β·m∧ with (α, β) = ``mix(k12)``."""
     meet, disjoint, join = _pair_pass(m1, m2, union=True)
-    alpha, beta = mix(_sorted_k12(disjoint))
+    k12 = _sorted_k12(disjoint)
+    alpha, beta = mix(k12)
     out = {z: beta * v for z, v in _nonzero(meet).items() if z}
     for z, v in join.items():
         out[z] = out.get(z, 0.0) + alpha * v
-    return out, disjoint
+    return out, disjoint, k12
 
 
 @_rule
 def acr_generic(
     m1: MassFunction, m2: MassFunction, beta: Callable[[float], float]
-) -> tuple[Table, Pairs]:
+) -> Policy:
     """Adaptive mixture α·m∨ + β·m∧ for a caller-supplied decreasing weight
     β with β(0)=1 and β(1)=0; α follows from the normalization constraint
     α(k) = 1 - (1-k)·β(k)."""
@@ -207,7 +214,7 @@ def acr_generic(
 
 
 @_rule
-def sacr(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
+def sacr(m1: MassFunction, m2: MassFunction) -> Policy:
     """Symmetric adaptive rule: the mixture with the closed-form weights
     α0, β0, which is conjunctive at zero conflict and disjunctive at total
     conflict."""
@@ -265,17 +272,20 @@ def pcr_shares(m1: MassFunction, m2: MassFunction) -> list[ConflictShare]:
 
 
 @_rule
-def pcr(m1: MassFunction, m2: MassFunction) -> tuple[Table, Pairs]:
+def pcr(m1: MassFunction, m2: MassFunction) -> Policy:
     """Proportional conflict redistribution: conjunctive masses plus every
     partial conflicting product returned to the two sets that generated it,
-    proportionally to their individual masses."""
+    proportionally to their individual masses. k12 is the products summed in
+    the shares' sorted order; a pair the shares skip has a zero product."""
     _, out, disjoint = _split(m1, m2)
-    for x, y, _, to_x, to_y in _shares(disjoint):
+    k12 = 0.0
+    for x, y, product, to_x, to_y in _shares(disjoint):
+        k12 += product
         if to_x:
             out[x] = out.get(x, 0.0) + to_x
         if to_y:
             out[y] = out.get(y, 0.0) + to_y
-    return out, disjoint
+    return out, disjoint, k12
 
 
 # Stable lowercase identifiers for the CLI and file outputs.
@@ -295,7 +305,8 @@ _POLICIES = {name: rule.__wrapped__ for name, rule in RULES.items() if name != "
 
 
 def _step(rule: str, m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
-    """One fusion under ``RULES[rule]`` and its k12 from the same pair pass, summed
-    over the disjoint pairs sorted (as ``conflict`` sums) after the policy walked them."""
-    out, disjoint = _POLICIES[rule](m1, m2)
-    return _mass(m1.frame, out), _sorted_k12(disjoint)
+    """One fusion under ``RULES[rule]`` and its k12 from the same pair pass,
+    summed over the disjoint pairs sorted as ``conflict`` sums them: by the
+    policy when it needed k12 itself, otherwise here, so once either way."""
+    out, disjoint, k12 = _POLICIES[rule](m1, m2)
+    return _mass(m1.frame, out), _sorted_k12(disjoint) if k12 is None else k12

@@ -160,7 +160,7 @@ PlatformDatabase.__doc__ = """The targets as a ``Frame``, and each emitter's own
 
 def _target_labels(n: int) -> list[str]:
     width = len(str(n - 1))
-    return [f"t{i:0{width}d}" for i in range(n)]
+    return ["t" + str(i).zfill(width) for i in range(n)]
 
 
 def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatabase:
@@ -201,16 +201,32 @@ def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatab
     return PlatformDatabase(Frame(_target_labels(config.n_targets)), index)
 
 
+# ``gen_report``'s memo: the database it last drew from and the report sets
+# built for it. It holds that database, so an identity match is never a new
+# database at a recycled address, and it is read and replaced as one pair, so
+# concurrent draws at worst build a set again.
+_report_sets: tuple[Optional[PlatformDatabase], dict[int, FocalSet]] = (None, {})
+
+
 def gen_report(
     pdb: PlatformDatabase, config: ScenarioConfig, rng: np.random.Generator
 ) -> tuple[int, FocalSet]:
     """Draw one sensor report: with probability 1 - pfa an emitter uniform
     over X = ``range(lo)``, otherwise uniform over Y = ``range(lo,
-    n_emitters)``; the reported set is every target owning that emitter."""
+    n_emitters)``; the reported set is every target owning that emitter.
+    Each emitter's set is built once for a database, so a draw builds one per
+    distinct reported emitter; the database's owners must not change in between."""
+    global _report_sets
     lo = config.emitters_per_target[0]
     pool = range(lo, config.n_emitters) if rng.random() < config.pfa else range(lo)
     emitter = pool[int(rng.integers(len(pool)))]
-    report_set = pdb.frame.subset_of_indices(pdb.emitter_index[emitter])
+    memo_pdb, sets = _report_sets
+    if memo_pdb is not pdb:
+        sets = {}
+        _report_sets = pdb, sets
+    report_set = sets.get(emitter)
+    if report_set is None:
+        report_set = sets[emitter] = pdb.frame.subset_of_indices(pdb.emitter_index[emitter])
     return emitter, report_set
 
 
@@ -278,10 +294,8 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
         p = betp(state)
         d = decide(p)
         similar = None if config.similar_target is None else p.probs[config.similar_target]
-        records.append(TrajectoryRecord(
-            step=step, reported_emitter=emitter, report_set_size=report_set.cardinality,
-            conflict_k12=k12, betp_truth=p.probs[config.truth_index], betp_similar=similar,
-            decided_index=d.index, tie=d.tie))
+        records.append(TrajectoryRecord(step, emitter, report_set.cardinality, k12,
+                                        p.probs[config.truth_index], similar, d.index, d.tie))
     return ScenarioResult(config, pdb, reports, tuple(records), failed_at, final_state=state)
 
 

@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from belieffusion import (
     FocalSet,
     MassFunction,
+    PignisticDistribution,
+    ScenarioConfig,
     betp,
     conjunctive,
     decide,
     dempster,
     make_frame,
     pcr,
+    run_scenario,
     vacuous,
 )
 from belieffusion import decision
@@ -181,6 +184,43 @@ def test_betp_paths_meet_at_the_member_budget(monkeypatch, width):
         assert len(numpy_calls) == calls
 
 
+class TestMemberMemo:
+    """The loop's member memo changes no bit, cold or warm, and stays bounded."""
+
+    @pytest.fixture(autouse=True)
+    def _loop(self, monkeypatch):
+        monkeypatch.setattr(decision, "_BETP_LOOP_MEMBERS", sys.maxsize)
+
+    @pytest.mark.parametrize("width", [20, 135])
+    def test_cold_and_warm_give_reference_bits(self, width):
+        m = random_wide_bba(width, 40, seed=width)
+        decision._MEMBERS.clear()
+        cold = betp(m).probs
+        assert set(m._table) <= set(decision._MEMBERS)
+        warm = betp(m).probs
+        assert cold == warm == reference_betp(m)
+
+    def test_more_sets_than_the_memo_holds(self):
+        m = random_wide_bba(135, 3 * decision._MEMBERS_MAX // 2, seed=3)
+        assert len(m._table) > decision._MEMBERS_MAX
+        assert betp(m).probs == reference_betp(m)
+        assert betp(m).probs == reference_betp(m)
+        assert len(decision._MEMBERS) <= decision._MEMBERS_MAX
+
+    @pytest.mark.parametrize("bound", [8, decision._MEMBERS_MAX])
+    def test_bounded_after_a_wide_sweep(self, monkeypatch, bound):
+        monkeypatch.setattr(decision, "_MEMBERS_MAX", bound)
+        decision._MEMBERS.clear()
+        for seed in range(3):
+            for rule in ("dubois-prade", "sacr"):
+                config = ScenarioConfig(n_targets=135, n_emitters=200, emitters_per_target=(5, 9),
+                                        truth_index=4, similar_target=5, n_reports=12,
+                                        rule=rule, seed=seed)
+                result = run_scenario(config)
+                assert 0 < len(decision._MEMBERS) <= bound
+                assert betp(result.final_state).probs == reference_betp(result.final_state)
+
+
 @settings(max_examples=100, deadline=None)
 @given(frame_and_bbas(count=1))
 def test_betp_exact_small_frames(data):
@@ -206,6 +246,17 @@ class TestDecide:
         d = decide(betp(pcr(*ZADEH)))
         assert d.index == 0
         assert d.tie
+
+    @pytest.mark.parametrize("probs, label", [
+        ((math.inf, 1.0), "A"),
+        ((1.0, math.inf), "B"),
+        ((math.nan, 1.0), "A"),
+        ((math.nan, math.nan), "A"),
+    ])
+    def test_non_finite_maximum_named(self, probs, label):
+        p = PignisticDistribution(make_frame("AB"), probs)
+        with pytest.raises(ValueError, match=rf"BetP\({label}\) is (inf|nan)"):
+            decide(p)
 
     def test_near_tie_below_tolerance_is_strict(self):
         f = make_frame(["A", "B"])

@@ -34,7 +34,8 @@ from belieffusion import (
     validate,
     yager,
 )
-from belieffusion.rules import RULES
+from belieffusion import rules
+from belieffusion.rules import _POLICIES, RULES, _step
 
 from conftest import EX1, EX2, EX3, FRAME_AB, ZADEH, bba, labelled, pcr_oracle, random_bba
 from test_core import frame_and_bbas
@@ -494,3 +495,29 @@ def test_inagaki_weights_match_three_pass_definition(data):
         if not fs.is_empty
     }
     assert acr_inagaki_weights(m1, m2, beta0) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame_and_bbas())
+def test_step_k12_is_conflict_total(data):
+    # Each step's k12 is summed once, by the policy (sacr, pcr) or by _step,
+    # always over the disjoint pairs in conflict's sorted order: same bits.
+    _, (m1, m2) = data
+    total = conflict(m1, m2).total
+    for rule in _POLICIES:
+        try:
+            _, k12 = _step(rule, m1, m2)
+        except DegenerateError:
+            continue
+        assert k12.hex() == total.hex(), rule
+
+
+@pytest.mark.parametrize("rule", sorted(_POLICIES))
+def test_step_sums_k12_at_most_once(rule, monkeypatch):
+    # sacr's mixture already sums the sorted pairs and pcr sums its shares'
+    # products, so no step may sum them a second time.
+    calls = []
+    original = rules._sorted_k12
+    monkeypatch.setattr(rules, "_sorted_k12", lambda pairs: calls.append(1) or original(pairs))
+    _step(rule, *EX3)
+    assert len(calls) == (0 if rule == "pcr" else 1)

@@ -255,6 +255,33 @@ class TestGenReport:
         assert set(report_set.indices()) == set(pdb.emitter_index[emitter])
 
 
+class TestDrawReportSets:
+    def test_one_report_set_per_distinct_emitter(self, monkeypatch):
+        cfg = make_config(n_reports=40)
+        calls = []
+        original = core.Frame.subset_of_indices
+        monkeypatch.setattr(core.Frame, "subset_of_indices",
+                            lambda frame, indices: calls.append(1) or original(frame, indices))
+        pdb, reports, _ = draw(cfg)
+        emitters = [e for e, _ in reports]
+        assert len(calls) == len(set(emitters)) < len(emitters)
+        # Element for element the sets built per report, and the same stream.
+        assert reports == tuple((e, original(pdb.frame, pdb.emitter_index[e])) for e in emitters)
+        rng = fresh_rng(cfg.seed)
+        ref_pdb = build_pdb(cfg, rng)
+        assert [gen_report(ref_pdb, cfg, rng)[0] for _ in range(cfg.n_reports)] == emitters
+
+    def test_each_database_gets_its_own_sets(self):
+        # Two draws on frames of different widths, interleaved report by report.
+        narrow, wide = make_config(), make_config(n_targets=135, n_emitters=200, seed=5)
+        rngs = [fresh_rng(c.seed) for c in (narrow, wide)]
+        pdbs = [build_pdb(c, r) for c, r in zip((narrow, wide), rngs)]
+        for _ in range(30):
+            for cfg, rng, pdb in zip((narrow, wide), rngs, pdbs):
+                emitter, report_set = gen_report(pdb, cfg, rng)
+                assert report_set == pdb.frame.subset_of_indices(pdb.emitter_index[emitter])
+
+
 class TestReportBba:
     def test_simple_support(self):
         cfg = make_config()
