@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .core import MassFunction, _indices
 
@@ -26,18 +27,12 @@ Decision = namedtuple("Decision", "index probability tie")
 
 # The most member visits, Σ|A| over the focal sets, for which ``betp`` runs
 # its plain loop. Least-squares fits of both paths per call, over the states
-# of desk and wide-union folds taken in fold order (so with the memo's real
+# of desk and wide-union folds taken in fold order (so with the cache's real
 # misses), cross at 338-385 members on 20 labels and 343-353 on 135: reading
-# member indices from the memo, the loop's cost per member (52-94 ns) no
+# member indices from ``_members``, the loop's cost per member (52-94 ns) no
 # longer grows with the frame's width, so one budget serves every width.
 # 320 sits just below both crossings.
 _BETP_LOOP_MEMBERS = 320
-
-# The loop's process-wide memo: a set's int mask → its member indices in
-# ascending order. A fold meets the same sets step after step, so most
-# lookups hit; the memo is emptied once it holds _MEMBERS_MAX sets.
-_MEMBERS: dict[int, tuple[int, ...]] = {}
-_MEMBERS_MAX = 1024
 
 # Rows of the member matrix expanded at once; bounds the int64 select block
 # to 256 × frame-size × 8 bytes however many focal sets the bba holds.
@@ -54,9 +49,9 @@ def betp(m: MassFunction) -> PignisticDistribution:
     so they give the same bits. Σ|A|, the loop's member visits, picks the
     path: up to ``_BETP_LOOP_MEMBERS`` a plain loop, above it numpy, which is
     imported only then, so ``betp`` on a small bba never loads numpy. The
-    loop reads each set's member indices from ``_MEMBERS``, a bounded,
-    process-wide memo keyed by the set's int mask, so a set seen before costs
-    no bit scan; the additions, and so the bits, are the same either way.
+    loop reads each set's member indices from ``_members``, a process-wide
+    LRU cache of 1,024 sets keyed by the set's int mask, so a set seen before
+    costs no bit scan; the additions, and so the bits, are the same either way.
 
     The numpy path places each share on its members by an integer select:
     the 0/1 ``uint8`` member flag times the share's int64 bits is ``+0.0``
@@ -81,20 +76,18 @@ def betp(m: MassFunction) -> PignisticDistribution:
         return PignisticDistribution(m.frame, _betp_numpy(table, n))
     probs = [0.0] * n
     for z, v in table.items():
-        members = _MEMBERS.get(z) or _members(z)
+        members = _members(z)
         share = v / len(members)
         for i in members:
             probs[i] += share
     return PignisticDistribution(m.frame, tuple(probs))
 
 
+# A fold meets the same sets step after step, so most calls hit.
+@lru_cache(maxsize=1024)
 def _members(z: int) -> tuple[int, ...]:
-    """The member indices of the non-empty set ``z``, stored in ``_MEMBERS``,
-    which is emptied first once it holds ``_MEMBERS_MAX`` sets."""
-    if len(_MEMBERS) >= _MEMBERS_MAX:
-        _MEMBERS.clear()
-    members = _MEMBERS[z] = tuple(_indices(z))
-    return members
+    """The member indices of the set ``z``, in ascending order."""
+    return tuple(_indices(z))
 
 
 def _betp_numpy(table: dict[int, float], n: int) -> tuple[float, ...]:
@@ -120,11 +113,14 @@ def _betp_numpy(table: dict[int, float], n: int) -> tuple[float, ...]:
 def decide(p: PignisticDistribution) -> Decision:
     """Pick the most probable singleton; ties (within TIE_TOL of the max)
     resolve to the lowest frame index with the tie flag set. Raises
-    ValueError naming the label when the largest probability is inf or nan,
+    ValueError naming the first nan label, or the label of an inf maximum,
     which no label can be within TIE_TOL of."""
-    best = max(p.probs)
-    tied = [i for i, v in enumerate(p.probs) if best - v <= TIE_TOL]
+    probs = p.probs
+    best = max(probs)  # nan only when the first label is nan
+    total = sum(probs)  # one C-level pass: nan if any label is nan
+    if total != total:
+        best = next((v for v in probs if v != v), best)  # ``index`` finds it by identity
+    tied = [i for i, v in enumerate(probs) if best - v <= TIE_TOL]
     if not tied:
-        i = p.probs.index(best) if best == best else 0
-        raise ValueError(f"no decision: BetP({p.frame.labels[i]}) is {p.probs[i]!r}")
-    return Decision(tied[0], p.probs[tied[0]], len(tied) > 1)
+        raise ValueError(f"no decision: BetP({p.frame.labels[probs.index(best)]}) is {best!r}")
+    return Decision(tied[0], probs[tied[0]], len(tied) > 1)

@@ -8,19 +8,20 @@ Every rule consumes two validated closed-world mass functions on a shared
 frame and is a pure function of its inputs. Each one is a short policy over
 a single call of the core pair pass: it reads the ∩-table (k12 under key 0),
 the disjoint pairs and, for the adaptive mixture, the ∪-table, decides where
-the conflicting mass goes, and returns the output table, the disjoint pairs
-and, when it summed them itself, their sorted k12. ``_step``, one step of
-``scenario.fold``, sums k12 from the pairs only when the policy did not.
+the conflicting mass goes, and returns the output table and the disjoint
+pairs. ``_step``, one step of ``scenario.fold``, reads its k12 from the pairs'
+``k12``, which ``core`` sums once, in the order ``conflict`` reports them in.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Mapping
 from functools import update_wrapper
 
 from .core import FocalSet, MassFunction, Pairs, Table, conjunctive
-from .core import _mass, _nonzero, _pair_pass, _sorted_k12, _sum_in_order, validate
+from .core import _mass, _nonzero, _pair_pass, _sum_in_order, validate
 from .core import conflict, disjunctive  # noqa: F401 (tracing tools patch them here)
 
 __all__ = [
@@ -60,9 +61,7 @@ class InvalidBetaError(ValueError):
     """A supplied mixture weighting violates its endpoint contract."""
 
 
-# What a policy returns: the output table, the disjoint pairs, and their k12
-# summed in sorted order, or None when the policy had no need to sum it.
-Policy = tuple[Table, Pairs, float | None]
+Policy = tuple[Table, Pairs]
 
 
 class _rule:
@@ -100,7 +99,7 @@ def dempster(m1: MassFunction, m2: MassFunction) -> Policy:
         raise TotalConflictError(
             "total conflict between sources (k12=1); Dempster's rule cannot be used"
         )
-    return {z: v / norm for z, v in out.items()}, disjoint, None
+    return {z: v / norm for z, v in out.items()}, disjoint
 
 
 # Smets' unnormalized rule is the conjunctive operator: the conflict stays on ∅.
@@ -114,7 +113,7 @@ def yager(m1: MassFunction, m2: MassFunction) -> Policy:
     if k12:
         full = (1 << m1.frame.size) - 1
         out[full] = out.get(full, 0.0) + k12
-    return out, disjoint, None
+    return out, disjoint
 
 
 @_rule
@@ -124,7 +123,7 @@ def dubois_prade(m1: MassFunction, m2: MassFunction) -> Policy:
     for x, y, a, b in disjoint:
         u = x | y
         out[u] = out.get(u, 0.0) + a * b
-    return out, disjoint, None
+    return out, disjoint
 
 
 # Static two-source DSmH on an exclusive frame coincides with Dubois & Prade's rule.
@@ -147,7 +146,7 @@ def inagaki_generic(
         share = v * k12
         if share:
             out[z] = out.get(z, 0.0) + share
-    return out, disjoint, None
+    return out, disjoint
 
 
 @_rule
@@ -157,7 +156,7 @@ def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> Policy:
     are preserved. Θ keeps its conjunctive mass."""
     k12, out, disjoint = _split(m1, m2)
     if k12 == 0.0:
-        return out, disjoint, None
+        return out, disjoint
     full = (1 << m1.frame.size) - 1
     theta_mass = out.pop(full, 0.0)
     s = _sum_in_order(out.values())
@@ -167,7 +166,7 @@ def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> Policy:
     out = {z: v * factor for z, v in out.items()}
     if theta_mass:
         out[full] = theta_mass
-    return out, disjoint, None
+    return out, disjoint
 
 
 def alpha0(k: float) -> float:
@@ -180,17 +179,26 @@ def beta0(k: float) -> float:
     return (1.0 - k) / (1.0 - k + k * k)
 
 
+# The |Σ−1| above which ``_acr_combine`` divides by Σ. The mixture scales its inputs'
+# drift by α + β ≥ 1, so drift compounds over a stream; set below SUM_TOL, this stops
+# it well short of SUM_TOL, and above a normal step's residual, so that step keeps its bits.
+_ACR_DRIFT_TOL = 1e-12
+
+
 def _acr_combine(
     m1: MassFunction, m2: MassFunction, mix: Callable[[float], tuple[float, float]]
 ) -> Policy:
-    """The mixture α·m∨ + β·m∧ with (α, β) = ``mix(k12)``."""
+    """The mixture α·m∨ + β·m∧ with (α, β) = ``mix(k12)``, divided by its left-to-right
+    sum, as ``dempster`` does, when ``math.fsum`` puts it over ``_ACR_DRIFT_TOL`` from 1."""
     meet, disjoint, join = _pair_pass(m1, m2, union=True)
-    k12 = _sorted_k12(disjoint)
-    alpha, beta = mix(k12)
+    alpha, beta = mix(disjoint.k12)
     out = {z: beta * v for z, v in _nonzero(meet).items() if z}
     for z, v in join.items():
         out[z] = out.get(z, 0.0) + alpha * v
-    return out, disjoint, k12
+    if abs(math.fsum(out.values()) - 1.0) > _ACR_DRIFT_TOL:
+        norm = _sum_in_order(out.values())
+        out = {z: v / norm for z, v in out.items()}
+    return out, disjoint
 
 
 @_rule
@@ -231,7 +239,7 @@ def acr_inagaki_weights(
     conjunctive.
     """
     meet, disjoint, join = _pair_pass(m1, m2, union=True)
-    k12 = _sorted_k12(disjoint)
+    k12 = disjoint.k12
     if k12 == 0.0:
         raise DegenerateError("weights are undefined at zero conflict")
     b = beta(k12)
@@ -275,17 +283,14 @@ def pcr_shares(m1: MassFunction, m2: MassFunction) -> list[ConflictShare]:
 def pcr(m1: MassFunction, m2: MassFunction) -> Policy:
     """Proportional conflict redistribution: conjunctive masses plus every
     partial conflicting product returned to the two sets that generated it,
-    proportionally to their individual masses. k12 is the products summed in
-    the shares' sorted order; a pair the shares skip has a zero product."""
+    proportionally to their individual masses."""
     _, out, disjoint = _split(m1, m2)
-    k12 = 0.0
-    for x, y, product, to_x, to_y in _shares(disjoint):
-        k12 += product
+    for x, y, _, to_x, to_y in _shares(disjoint):
         if to_x:
             out[x] = out.get(x, 0.0) + to_x
         if to_y:
             out[y] = out.get(y, 0.0) + to_y
-    return out, disjoint, k12
+    return out, disjoint
 
 
 # Stable lowercase identifiers for the CLI and file outputs.
@@ -305,8 +310,6 @@ _POLICIES = {name: rule.__wrapped__ for name, rule in RULES.items() if name != "
 
 
 def _step(rule: str, m1: MassFunction, m2: MassFunction) -> tuple[MassFunction, float]:
-    """One fusion under ``RULES[rule]`` and its k12 from the same pair pass,
-    summed over the disjoint pairs sorted as ``conflict`` sums them: by the
-    policy when it needed k12 itself, otherwise here, so once either way."""
-    out, disjoint, k12 = _POLICIES[rule](m1, m2)
-    return _mass(m1.frame, out), _sorted_k12(disjoint) if k12 is None else k12
+    """One fusion under ``RULES[rule]`` and its k12 from the same pair pass."""
+    out, disjoint = _POLICIES[rule](m1, m2)
+    return _mass(m1.frame, out), disjoint.k12

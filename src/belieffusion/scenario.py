@@ -20,6 +20,7 @@ import json
 import typing
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Optional
 
 import numpy as np
@@ -201,11 +202,12 @@ def build_pdb(config: ScenarioConfig, rng: np.random.Generator) -> PlatformDatab
     return PlatformDatabase(Frame(_target_labels(config.n_targets)), index)
 
 
-# ``gen_report``'s memo: the database it last drew from and the report sets
-# built for it. It holds that database, so an identity match is never a new
-# database at a recycled address, and it is read and replaced as one pair, so
-# concurrent draws at worst build a set again.
-_report_sets: tuple[Optional[PlatformDatabase], dict[int, FocalSet]] = (None, {})
+# Keyed by the frame's width, not the frame: every draw builds a new Frame,
+# which would hash and compare all its labels.
+@lru_cache(maxsize=1024)
+def _report_set(owners: frozenset[int], width: int) -> FocalSet:
+    """The set of the targets ``owners`` on a frame of ``width`` targets."""
+    return FocalSet(sum(1 << i for i in owners), width)
 
 
 def gen_report(
@@ -213,21 +215,11 @@ def gen_report(
 ) -> tuple[int, FocalSet]:
     """Draw one sensor report: with probability 1 - pfa an emitter uniform
     over X = ``range(lo)``, otherwise uniform over Y = ``range(lo,
-    n_emitters)``; the reported set is every target owning that emitter.
-    Each emitter's set is built once for a database, so a draw builds one per
-    distinct reported emitter; the database's owners must not change in between."""
-    global _report_sets
+    n_emitters)``; the reported set is every target owning that emitter."""
     lo = config.emitters_per_target[0]
     pool = range(lo, config.n_emitters) if rng.random() < config.pfa else range(lo)
     emitter = pool[int(rng.integers(len(pool)))]
-    memo_pdb, sets = _report_sets
-    if memo_pdb is not pdb:
-        sets = {}
-        _report_sets = pdb, sets
-    report_set = sets.get(emitter)
-    if report_set is None:
-        report_set = sets[emitter] = pdb.frame.subset_of_indices(pdb.emitter_index[emitter])
-    return emitter, report_set
+    return emitter, _report_set(pdb.emitter_index[emitter], pdb.frame.size)
 
 
 def report_bba(report_set: FocalSet, frame: Frame, report_mass: float) -> MassFunction:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -184,8 +185,11 @@ def test_betp_paths_meet_at_the_member_budget(monkeypatch, width):
         assert len(numpy_calls) == calls
 
 
+MEMBERS_MAX = decision._members.cache_info().maxsize
+
+
 class TestMemberMemo:
-    """The loop's member memo changes no bit, cold or warm, and stays bounded."""
+    """The loop's member cache changes no bit, cold or warm, and stays bounded."""
 
     @pytest.fixture(autouse=True)
     def _loop(self, monkeypatch):
@@ -194,30 +198,32 @@ class TestMemberMemo:
     @pytest.mark.parametrize("width", [20, 135])
     def test_cold_and_warm_give_reference_bits(self, width):
         m = random_wide_bba(width, 40, seed=width)
-        decision._MEMBERS.clear()
+        decision._members.cache_clear()
         cold = betp(m).probs
-        assert set(m._table) <= set(decision._MEMBERS)
+        info = decision._members.cache_info()
+        assert (info.hits, info.misses) == (0, len(m._table))
         warm = betp(m).probs
+        assert decision._members.cache_info().hits == len(m._table)
         assert cold == warm == reference_betp(m)
 
     def test_more_sets_than_the_memo_holds(self):
-        m = random_wide_bba(135, 3 * decision._MEMBERS_MAX // 2, seed=3)
-        assert len(m._table) > decision._MEMBERS_MAX
+        m = random_wide_bba(135, 3 * MEMBERS_MAX // 2, seed=3)
+        assert len(m._table) > MEMBERS_MAX
         assert betp(m).probs == reference_betp(m)
         assert betp(m).probs == reference_betp(m)
-        assert len(decision._MEMBERS) <= decision._MEMBERS_MAX
+        assert decision._members.cache_info().currsize <= MEMBERS_MAX
 
-    @pytest.mark.parametrize("bound", [8, decision._MEMBERS_MAX])
+    @pytest.mark.parametrize("bound", [8, MEMBERS_MAX])
     def test_bounded_after_a_wide_sweep(self, monkeypatch, bound):
-        monkeypatch.setattr(decision, "_MEMBERS_MAX", bound)
-        decision._MEMBERS.clear()
+        members = functools.lru_cache(maxsize=bound)(decision._members.__wrapped__)
+        monkeypatch.setattr(decision, "_members", members)
         for seed in range(3):
             for rule in ("dubois-prade", "sacr"):
                 config = ScenarioConfig(n_targets=135, n_emitters=200, emitters_per_target=(5, 9),
                                         truth_index=4, similar_target=5, n_reports=12,
                                         rule=rule, seed=seed)
                 result = run_scenario(config)
-                assert 0 < len(decision._MEMBERS) <= bound
+                assert 0 < members.cache_info().currsize <= bound
                 assert betp(result.final_state).probs == reference_betp(result.final_state)
 
 
@@ -252,10 +258,22 @@ class TestDecide:
         ((1.0, math.inf), "B"),
         ((math.nan, 1.0), "A"),
         ((math.nan, math.nan), "A"),
+        ((math.inf, -math.inf), "A"),
     ])
     def test_non_finite_maximum_named(self, probs, label):
         p = PignisticDistribution(make_frame("AB"), probs)
         with pytest.raises(ValueError, match=rf"BetP\({label}\) is (inf|nan)"):
+            decide(p)
+
+    @pytest.mark.parametrize("probs, label", [
+        ((1.0, math.nan), "B"),
+        ((math.nan, 1.0), "A"),
+        ((1.0, math.nan, math.inf, math.nan), "B"),
+    ])
+    def test_first_nan_named(self, probs, label):
+        # A nan anywhere is named, not only a nan that max() returns.
+        p = PignisticDistribution(make_frame("ABCD"[:len(probs)]), probs)
+        with pytest.raises(ValueError, match=rf"BetP\({label}\) is nan$"):
             decide(p)
 
     def test_near_tie_below_tolerance_is_strict(self):

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from belieffusion import (
     make_frame,
     validate,
 )
+from belieffusion import cli
 from belieffusion.cli import main
 from belieffusion.decision import _BETP_LOOP_MEMBERS
 from belieffusion.massio import (
@@ -612,3 +615,18 @@ def test_package_names_resolve_on_first_access():
     )
     assert result.stderr == ""
     assert result.stdout == "module 'belieffusion' has no attribute 'no_such_name'\n"
+
+
+def _exit_code_paragraph(text: str) -> str:
+    """The paragraph that starts at ``Exit codes:``, on one line."""
+    start = text.index("Exit codes:")
+    return " ".join(text[start:].split("\n\n", 1)[0].split())
+
+
+def test_documented_exit_codes_are_the_cli_codes():
+    # README and the cli docstring list each code the CLI can return, and no other.
+    codes = {cli.EXIT_OK, *cli.EXIT_CODES.values()}
+    docstring = _exit_code_paragraph(cli.__doc__)
+    assert {int(c) for c in re.findall(r"(?:codes:|,) (\d+) ", docstring)} == codes
+    readme = _exit_code_paragraph((Path(__file__).parents[1] / "README.md").read_text("utf-8"))
+    assert {int(c) for c in re.findall(r"`(\d+)`", readme)} == codes

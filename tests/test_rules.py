@@ -6,6 +6,7 @@ import sys
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belieffusion import (
     DegenerateError,
@@ -34,7 +35,7 @@ from belieffusion import (
     validate,
     yager,
 )
-from belieffusion import rules
+from belieffusion import core
 from belieffusion.rules import _POLICIES, RULES, _step
 
 from conftest import EX1, EX2, EX3, FRAME_AB, ZADEH, bba, labelled, pcr_oracle, random_bba
@@ -500,8 +501,8 @@ def test_inagaki_weights_match_three_pass_definition(data):
 @settings(max_examples=200, deadline=None)
 @given(frame_and_bbas())
 def test_step_k12_is_conflict_total(data):
-    # Each step's k12 is summed once, by the policy (sacr, pcr) or by _step,
-    # always over the disjoint pairs in conflict's sorted order: same bits.
+    # Every step's k12 is its pairs' Pairs.k12, summed in conflict's sorted
+    # order: same bits.
     _, (m1, m2) = data
     total = conflict(m1, m2).total
     for rule in _POLICIES:
@@ -514,10 +515,28 @@ def test_step_k12_is_conflict_total(data):
 
 @pytest.mark.parametrize("rule", sorted(_POLICIES))
 def test_step_sums_k12_at_most_once(rule, monkeypatch):
-    # sacr's mixture already sums the sorted pairs and pcr sums its shares'
-    # products, so no step may sum them a second time.
-    calls = []
-    original = rules._sorted_k12
-    monkeypatch.setattr(rules, "_sorted_k12", lambda pairs: calls.append(1) or original(pairs))
+    # Pairs.k12 is read by the policies that need k12 (sacr) and by _step,
+    # and summed once between them: pcr's shares no longer sum it on the side.
+    sums = []
+    original = core.Pairs.k12.fget
+
+    def counting(pairs):
+        sums.append(pairs._k12 is None)
+        return original(pairs)
+
+    monkeypatch.setattr(core.Pairs, "k12", property(counting))
     _step(rule, *EX3)
-    assert len(calls) == (0 if rule == "pcr" else 1)
+    assert sums.count(True) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame_and_bbas(), st.floats(min_value=1e-11, max_value=1e-4), st.booleans())
+def test_acr_step_does_not_amplify_drift(data, eps, up):
+    # The mixture scales its inputs' drift by α + β ≥ 1, which compounded
+    # over a long stream; a drifted input must come out no further from 1.
+    frame, (m1, m2) = data
+    scale = 1.0 + eps if up else 1.0 - eps
+    drifted = MassFunction(frame, {fs: v * scale for fs, v in m1.entries.items()})
+    residual = abs(math.fsum(drifted._table.values()) - 1.0)
+    for out in (sacr(drifted, m2), acr_generic(drifted, m2, lambda k: (1.0 - k) ** 2)):
+        assert abs(math.fsum(out._table.values()) - 1.0) <= residual

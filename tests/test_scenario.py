@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -20,7 +21,7 @@ from belieffusion import (
     vacuous,
     validate,
 )
-from belieffusion import core, rules
+from belieffusion import core, rules, scenario
 from belieffusion.core import SUM_TOL
 from belieffusion.rules import RULES
 from belieffusion.scenario import write_trajectory_csv
@@ -256,20 +257,33 @@ class TestGenReport:
 
 
 class TestDrawReportSets:
-    def test_one_report_set_per_distinct_emitter(self, monkeypatch):
+    def test_one_report_set_per_distinct_emitter(self):
         cfg = make_config(n_reports=40)
-        calls = []
-        original = core.Frame.subset_of_indices
-        monkeypatch.setattr(core.Frame, "subset_of_indices",
-                            lambda frame, indices: calls.append(1) or original(frame, indices))
+        scenario._report_set.cache_clear()
         pdb, reports, _ = draw(cfg)
         emitters = [e for e, _ in reports]
-        assert len(calls) == len(set(emitters)) < len(emitters)
-        # Element for element the sets built per report, and the same stream.
-        assert reports == tuple((e, original(pdb.frame, pdb.emitter_index[e])) for e in emitters)
+        owners = {pdb.emitter_index[e] for e in emitters}
+        info = scenario._report_set.cache_info()
+        assert info.misses == len(owners) <= len(set(emitters)) < len(emitters)
+        # Cold: element for element the sets built per report, and the same stream.
+        built = tuple((e, pdb.frame.subset_of_indices(pdb.emitter_index[e])) for e in emitters)
+        assert reports == built
         rng = fresh_rng(cfg.seed)
         ref_pdb = build_pdb(cfg, rng)
         assert [gen_report(ref_pdb, cfg, rng)[0] for _ in range(cfg.n_reports)] == emitters
+        # Warm: a second draw of the same config builds no set and draws the same.
+        misses = scenario._report_set.cache_info().misses
+        assert draw(cfg)[1] == built
+        assert scenario._report_set.cache_info().misses == misses
+
+    def test_more_sets_than_the_cache_holds(self, monkeypatch):
+        report_set = functools.lru_cache(maxsize=2)(scenario._report_set.__wrapped__)
+        monkeypatch.setattr(scenario, "_report_set", report_set)
+        cfg = make_config(n_reports=40)
+        pdb, reports, _ = draw(cfg)
+        assert report_set.cache_info().misses > 2
+        assert reports == tuple((e, pdb.frame.subset_of_indices(pdb.emitter_index[e]))
+                                for e, _ in reports)
 
     def test_each_database_gets_its_own_sets(self):
         # Two draws on frames of different widths, interleaved report by report.
@@ -439,6 +453,20 @@ class TestRunScenario:
         for r in result.records:
             assert 0.0 <= r.betp_truth <= 1.0 and 0.0 <= r.betp_similar <= 1.0
         assert all(0.0 <= p <= 1.0 for p in betp(result.final_state).probs)
+        assert abs(result.final_state.total() - 1.0) <= SUM_TOL
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "rule", ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr"]
+    )
+    def test_long_stream_stays_normalized(self, rule, seed):
+        # sacr's mixture scaled its inputs' rounding drift by up to 4/3 a
+        # step, so at this size its sum crossed SUM_TOL after 180-263 reports.
+        cfg = make_config(n_targets=20, n_emitters=35, emitters_per_target=(5, 9),
+                          truth_index=4, similar_target=5, rule=rule,
+                          n_reports=300, seed=seed)
+        result = run_scenario(cfg)
+        assert result.failed_at is None
         assert abs(result.final_state.total() - 1.0) <= SUM_TOL
 
     def test_csv_deterministic(self, tmp_path):
