@@ -43,9 +43,9 @@ Table = dict[int, float]
 
 
 class Pairs(list):
-    """The disjoint pairs ``(x, y, m1(x), m2(y))`` of a pair pass. ``k12`` sorts
-    them by ``(x, y)`` in place and sums their products left to right, once,
-    on first read: the package's one k12 sum, so every k12 has the same bits."""
+    """The disjoint pairs ``(x, y, m1(x), m2(y))`` of a pair pass, the one record of the
+    conflict. ``k12`` sorts them by ``(x, y)`` in place and sums their products left to
+    right, once, on first read: the package's one k12 sum, so every k12 has the same bits."""
 
     _k12 = None  # the sum, from the first read on
 
@@ -294,9 +294,9 @@ def _pair_pass(
 ) -> tuple[Table, Pairs, Table | None]:
     """The one pass over m1 × m2 that every combination rule builds on.
 
-    Works on raw ``int`` bit masks in storage order and returns the ∩-table
-    (k12 under key 0), the disjoint pairs ``(x, y, m1(x), m2(y))`` and, when
-    ``union`` is set, the ∪-table (otherwise ``None``).
+    Works on raw ``int`` bit masks in storage order and returns the ∩-table of the non-empty
+    intersections without zero masses, the disjoint pairs ``(x, y, m1(x), m2(y))``, which
+    alone record the conflict, and, when ``union`` is set, the ∪-table (otherwise ``None``).
     """
     # A fold's frames are one object, and the identity test skips `__eq__`.
     if m1.frame is not m2.frame and m1.frame != m2.frame:
@@ -311,13 +311,14 @@ def _pair_pass(
         for y, b in right:
             product = a * b
             z = x & y
-            meet[z] = meet.get(z, 0.0) + product
             if not z:
                 disjoint.append((x, y, a, b))
+            else:
+                meet[z] = meet.get(z, 0.0) + product
             if join is not None:
                 u = x | y
                 join[u] = join.get(u, 0.0) + product
-    return meet, disjoint, join
+    return _nonzero(meet), disjoint, join
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
@@ -343,8 +344,9 @@ def _mass(frame: Frame, table: Table, open_world: bool = False) -> MassFunction:
 
 
 def conjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Conjunctive combination; the output may carry mass on ∅ (open world)."""
-    return _mass(m1.frame, _pair_pass(m1, m2)[0], open_world=True)
+    """Conjunctive combination; the output carries k12 on ∅ (open world)."""
+    meet, disjoint, _ = _pair_pass(m1, m2)
+    return _mass(m1.frame, {0: disjoint.k12, **meet}, open_world=True)
 
 
 def disjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:

@@ -6,16 +6,16 @@ proportional conflict redistribution.
 
 Every rule consumes two validated closed-world mass functions on a shared
 frame and is a pure function of its inputs. Each one is a short policy over
-a single call of the core pair pass: it reads the ∩-table (k12 under key 0),
-the disjoint pairs and, for the adaptive mixture, the ∪-table, decides where
-the conflicting mass goes, and returns the output table and the disjoint
-pairs. ``_step``, one step of ``scenario.fold``, reads its k12 from the pairs'
-``k12``, which ``core`` sums once, in the order ``conflict`` reports them in.
+a single call of the core pair pass: it reads the ∩-table of the non-empty
+sets, the disjoint pairs, the one record of the conflict, and, for the adaptive
+mixture, the ∪-table, decides where the conflicting mass goes, and returns the
+output table and the disjoint pairs. A rule that moves k12 whole, and ``_step``
+(one step of ``scenario.fold``), read it from the pairs' ``k12``, which ``core``
+sums once, in the order ``conflict`` reports them in.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Mapping
 from functools import update_wrapper
@@ -83,17 +83,11 @@ class _rule:
         return signature(self.__wrapped__).replace(return_annotation="MassFunction")
 
 
-def _split(m1: MassFunction, m2: MassFunction) -> tuple[float, Table, Pairs]:
-    """One pair pass: k12, the non-empty sets' conjunctive masses, the disjoint pairs."""
-    meet, disjoint, _ = _pair_pass(m1, m2)
-    return meet.pop(0, 0.0), _nonzero(meet), disjoint
-
-
 @_rule
 def dempster(m1: MassFunction, m2: MassFunction) -> Policy:
     """Normalized conjunctive rule: divide each non-empty conjunctive mass by
     their sum (1 - k12, free of input drift). Raises TotalConflictError at k12 = 1."""
-    _, out, disjoint = _split(m1, m2)
+    out, disjoint, _ = _pair_pass(m1, m2)
     norm = _sum_in_order(out.values())
     if norm <= TOTAL_CONFLICT_TOL:
         raise TotalConflictError(
@@ -109,18 +103,18 @@ smets = conjunctive
 @_rule
 def yager(m1: MassFunction, m2: MassFunction) -> Policy:
     """Conjunctive rule with the conflict transferred to total ignorance."""
-    k12, out, disjoint = _split(m1, m2)
-    if k12:
+    out, disjoint, _ = _pair_pass(m1, m2)
+    if disjoint.k12:
         full = (1 << m1.frame.size) - 1
-        out[full] = out.get(full, 0.0) + k12
+        out[full] = out.get(full, 0.0) + disjoint.k12
     return out, disjoint
 
 
 @_rule
 def dubois_prade(m1: MassFunction, m2: MassFunction) -> Policy:
     """Conjunctive masses plus each disjoint pair's product moved to X∪Y."""
-    _, out, disjoint = _split(m1, m2)
-    for x, y, a, b in disjoint:
+    out, disjoint, _ = _pair_pass(m1, m2)
+    for x, y, a, b in disjoint:  # in storage order: reading k12 first would sort them
         u = x | y
         out[u] = out.get(u, 0.0) + a * b
     return out, disjoint
@@ -141,7 +135,8 @@ def inagaki_generic(
     report = validate(w)
     if not report.ok:
         raise ValueError("weights: " + "; ".join(report.violations))
-    k12, out, disjoint = _split(m1, m2)
+    out, disjoint, _ = _pair_pass(m1, m2)
+    k12 = disjoint.k12
     for z, v in w._table.items():
         share = v * k12
         if share:
@@ -154,7 +149,8 @@ def inagaki_extreme(m1: MassFunction, m2: MassFunction) -> Policy:
     """The extremal member of Inagaki's family: the conflict is distributed
     so that ratios between the masses of any two sets other than the frame
     are preserved. Θ keeps its conjunctive mass."""
-    k12, out, disjoint = _split(m1, m2)
+    out, disjoint, _ = _pair_pass(m1, m2)
+    k12 = disjoint.k12
     if k12 == 0.0:
         return out, disjoint
     full = (1 << m1.frame.size) - 1
@@ -189,14 +185,14 @@ def _acr_combine(
     m1: MassFunction, m2: MassFunction, mix: Callable[[float], tuple[float, float]]
 ) -> Policy:
     """The mixture α·m∨ + β·m∧ with (α, β) = ``mix(k12)``, divided by its left-to-right
-    sum, as ``dempster`` does, when ``math.fsum`` puts it over ``_ACR_DRIFT_TOL`` from 1."""
+    sum, as ``dempster`` does, when that sum is over ``_ACR_DRIFT_TOL`` from 1."""
     meet, disjoint, join = _pair_pass(m1, m2, union=True)
     alpha, beta = mix(disjoint.k12)
-    out = {z: beta * v for z, v in _nonzero(meet).items() if z}
+    out = {z: beta * v for z, v in meet.items()}
     for z, v in join.items():
         out[z] = out.get(z, 0.0) + alpha * v
-    if abs(math.fsum(out.values()) - 1.0) > _ACR_DRIFT_TOL:
-        norm = _sum_in_order(out.values())
+    norm = _sum_in_order(out.values())
+    if abs(norm - 1.0) > _ACR_DRIFT_TOL:
         out = {z: v / norm for z, v in out.items()}
     return out, disjoint
 
@@ -243,11 +239,11 @@ def acr_inagaki_weights(
     if k12 == 0.0:
         raise DegenerateError("weights are undefined at zero conflict")
     b = beta(k12)
-    conj, disj, width = _nonzero(meet), _nonzero(join), m1.frame.size
+    disj, width = _nonzero(join), m1.frame.size
     return {
-        FocalSet(z, width): (1.0 - b) / k12 * (disj.get(z, 0.0) - conj.get(z, 0.0))
+        FocalSet(z, width): (1.0 - b) / k12 * (disj.get(z, 0.0) - meet.get(z, 0.0))
         + b * disj.get(z, 0.0)
-        for z in conj.keys() | disj.keys() if z
+        for z in meet.keys() | disj.keys()
     }
 
 
@@ -284,7 +280,7 @@ def pcr(m1: MassFunction, m2: MassFunction) -> Policy:
     """Proportional conflict redistribution: conjunctive masses plus every
     partial conflicting product returned to the two sets that generated it,
     proportionally to their individual masses."""
-    _, out, disjoint = _split(m1, m2)
+    out, disjoint, _ = _pair_pass(m1, m2)
     for x, y, _, to_x, to_y in _shares(disjoint):
         if to_x:
             out[x] = out.get(x, 0.0) + to_x

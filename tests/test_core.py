@@ -27,6 +27,7 @@ from conftest import (
     EX1,
     EX3,
     FRAME_AB,
+    FRAME_ABC,
     ZADEH,
     assert_masses_close,
     bba,
@@ -368,9 +369,13 @@ class TestConflict:
         assert d.pairs == ()
 
     def test_total_matches_conjunctive_empty_mass(self):
-        assert conflict(*EX3).total == pytest.approx(
-            conjunctive(*EX3).mass(FRAME_AB.empty_set()), abs=1e-12
+        # The second pair's disjoint products sum to another float in pass order.
+        skewed = (
+            bba(FRAME_ABC, {"C": 0.381, "AB": 0.229, "A": 0.095, "AC": 0.295}),
+            bba(FRAME_ABC, {"C": 0.618, "BC": 0.236, "AB": 0.146}),
         )
+        for m1, m2 in (EX3, skewed):
+            assert conflict(m1, m2).total == conjunctive(m1, m2).mass(m1.frame.empty_set())
 
     def test_pair_products_sum_to_total(self):
         d = conflict(*ZADEH)
@@ -460,9 +465,7 @@ def test_base_operators_match_brute_force(data):
 @given(frame_and_bbas())
 def test_conflict_equals_conjunctive_empty_mass(data):
     frame, (m1, m2) = data
-    assert conflict(m1, m2).total == pytest.approx(
-        conjunctive(m1, m2).mass(frame.empty_set()), abs=1e-12
-    )
+    assert conflict(m1, m2).total == conjunctive(m1, m2).mass(frame.empty_set())
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from belieffusion import (
     DegenerateError,
     MassFunction,
+    ScenarioConfig,
     TotalConflictError,
     conjunctive,
     make_frame,
@@ -630,3 +632,20 @@ def test_documented_exit_codes_are_the_cli_codes():
     assert {int(c) for c in re.findall(r"(?:codes:|,) (\d+) ", docstring)} == codes
     readme = _exit_code_paragraph((Path(__file__).parents[1] / "README.md").read_text("utf-8"))
     assert {int(c) for c in re.findall(r"`(\d+)`", readme)} == codes
+
+
+def test_documented_config_fields_are_the_scenario_config_fields():
+    # README names each ScenarioConfig field once: required, or taking its default.
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text("utf-8").split())
+    required, defaulted = re.search(
+        r"fields of `ScenarioConfig`: (.*?) are required; (.*?) take the dataclass defaults",
+        readme,
+    ).groups()
+    missing = dataclasses.MISSING
+    fields = dataclasses.fields(ScenarioConfig)
+    assert set(re.findall(r"`(\w+)`", required)) == {
+        f.name for f in fields if f.default is missing and f.default_factory is missing
+    }
+    assert set(re.findall(r"`(\w+)`", defaulted)) == {
+        f.name for f in fields if f.default is not missing or f.default_factory is not missing
+    }

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from belieffusion import (
     DegenerateError,
+    FocalSet,
     FrameMismatchError,
     InvalidBetaError,
     MassFunction,
@@ -511,6 +512,33 @@ def test_step_k12_is_conflict_total(data):
         except DegenerateError:
             continue
         assert k12.hex() == total.hex(), rule
+
+
+_SIX = make_frame("ABCDEF")
+
+
+@st.composite
+def bbas_without_theta(draw):
+    """Two bbas on a 6-label frame, neither with Θ as a focal set."""
+    bbas = []
+    for _ in range(2):
+        bits = draw(st.lists(st.integers(1, 2**6 - 2), min_size=1, max_size=8, unique=True))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(bits), max_size=len(bits)))
+        total = sum(weights)
+        bbas.append(MassFunction(_SIX, {FocalSet(z, 6): w / total for z, w in zip(bits, weights)}))
+    return bbas
+
+
+@settings(max_examples=300, deadline=None)
+@given(bbas_without_theta())
+def test_conflict_moved_to_theta_is_conflict_total(pair):
+    # No intersection is Θ, so Θ's mass under a rule that moves all of k12 there
+    # is k12 itself, and it must have the bits conflict reports.
+    m1, m2 = pair
+    theta = _SIX.full_set()
+    total = conflict(m1, m2).total
+    assert yager(m1, m2).mass(theta) == total
+    assert inagaki_generic(m1, m2, {theta: 1.0}).mass(theta) == total
 
 
 @pytest.mark.parametrize("rule", sorted(_POLICIES))
