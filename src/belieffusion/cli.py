@@ -23,14 +23,7 @@ that cannot fuse a report (k12 = 1 under ``dempster`` or ``inagaki``) ends its
 trajectory there: ``failed_at`` records the step, one line names the rule and
 the step, and the sweep goes on with exit 0.
 
-``combine``, ``conflict`` and ``rules`` load neither ``decision``, ``scenario``
-nor numpy; ``betp`` loads ``decision``, and numpy only for a bba whose focal
-sets hold more than ``decision``'s loop budget of members (320); below it the
-loop reads each set's member indices from a process-wide LRU cache and
-gives the same bits as numpy, whatever the cache holds. ``scenario`` loads all
-three. Only the commands that use ``decision`` and ``scenario`` import them.
-Only ``scenario`` loads ``dataclasses``, and no command that skips numpy
-loads ``inspect``.
+README's Install section states which modules each command loads, numpy included.
 """
 
 from __future__ import annotations

@@ -37,6 +37,12 @@ ZADEH = (
     bba(FRAME_ABC, {"A": 0.9, "C": 0.1}),
     bba(FRAME_ABC, {"B": 0.9, "C": 0.1}),
 )
+# A pair whose disjoint products, summed in pass order, give another float than
+# summed in the (x, y) order of the conflict record.
+SKEWED = (
+    bba(FRAME_ABC, {"C": 0.381, "AB": 0.229, "A": 0.095, "AC": 0.295}),
+    bba(FRAME_ABC, {"C": 0.618, "BC": 0.236, "AB": 0.146}),
+)
 
 
 def random_bba(

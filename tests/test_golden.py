@@ -1,4 +1,5 @@
-"""Golden outputs: SHA-256 digests of trajectory files recorded before the
+"""Golden outputs: SHA-256 digests of trajectory files and of the stdout of
+each demo README lists. The trajectory digests were recorded before the
 combination rules were rebuilt on the single pair pass; the Dempster digest
 was re-recorded when the rule began to normalize by Σ_{A≠∅} m∧(A) instead of
 1 - k12 (a deliberate change of its trajectory).
@@ -20,11 +21,20 @@ instead of reading the sorted pairs' sum, which conflict reports.
 The last two runs pin the platform database on shapes the others miss: one
 without a similar target, so the truth alone owns its non-common emitters,
 and one whose truth owns a single emitter, the common one.
+
+Each demo runs as README shows it, in a fresh interpreter with every warning
+an error. Like the trajectory digests, a demo's digest changes only with a
+deliberate change of its output, which must say so and re-record it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +99,26 @@ def test_metadata_bytes(tmp_path):
     path = tmp_path / "trajectory.meta.json"
     write_metadata(str(path), run_scenario(ScenarioConfig(rule="dempster", **DESK)))
     assert _sha256(path) == METADATA_SHA256
+
+
+ROOT = Path(__file__).parents[1]
+
+DEMO_STDOUT = [
+    ("worked_examples", "5b77b638f299cb5571c5fa08710ee44708768a45d2f1c8908538ca0b0fd0e77c"),
+    ("high_conflict", "1eb9617033c946d859b2ce01e8ebf16a7a429540444119f2abfb045e2fd853a1"),
+    ("identification", "261c5de8c47c2ef3eb9c1c3f3d97a92b8dd4eec12a3543b429d6ae5a14b2474d"),
+]
+
+
+def test_demo_digests_are_the_readme_demos():
+    readme = (ROOT / "README.md").read_text("utf-8")
+    assert re.findall(r"^python demos/(\w+)\.py", readme, re.M) == [d for d, _ in DEMO_STDOUT]
+
+
+@pytest.mark.parametrize("demo,digest", DEMO_STDOUT, ids=[d for d, _ in DEMO_STDOUT])
+def test_demo_stdout(demo, digest):
+    # Two demos print ∪: UTF-8 whatever the locale, so the digest is of one encoding.
+    result = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / f"{demo}.py")],
+                            capture_output=True, env=dict(os.environ, PYTHONIOENCODING="utf-8"))
+    assert result.returncode == 0 and result.stderr == b"", result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest

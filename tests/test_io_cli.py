@@ -27,7 +27,9 @@ from belieffusion.massio import (
     write_mass,
 )
 
-from conftest import EX1, FRAME_AB, ZADEH, bba, labelled, random_bba
+from conftest import EX1, FRAME_AB, SKEWED, ZADEH, bba, labelled, random_bba
+
+FRAME_CBA = make_frame(["C", "B", "A"])  # not in sorted order, so frame order shows
 
 
 class TestMassFormat:
@@ -169,6 +171,24 @@ class TestCli:
              "unknown key 'open_wrold'"),
             ({"frame": ["A", "B"], "masses": [{"set": ["A"], "mass": 1.0, "weight": 2}]},
              "masses[0]: unknown key 'weight'"),
+            ([1, 2], "top level must be an object"),
+            ({"frame": "AB", "masses": []}, "'frame' must be an array of labels"),
+            ({"frame": ["A", 3], "masses": []}, "'frame' must be an array of labels"),
+            ({"frame": [], "masses": []}, "frame needs at least one label"),
+            ({"frame": ["A", "A"], "masses": []}, "duplicate label in frame: 'A'"),
+            ({"frame": ["A", ""], "masses": []}, "empty label in frame"),
+            ({"frame": ["A"], "masses": {}}, "'masses' must be an array"),
+            ({"frame": ["A"], "masses": [3]}, "masses[0]: expected {'set': [...], 'mass': x}"),
+            ({"frame": ["A"], "masses": [{"set": ["A"]}]},
+             "masses[0]: expected {'set': [...], 'mass': x}"),
+            ({"frame": ["A"], "masses": [{"set": "A", "mass": 1.0}]},
+             "masses[0]: 'set' must be an array of labels"),
+            ({"frame": ["A"], "masses": [{"set": ["A"], "mass": "1"}]},
+             "masses[0]: 'mass' must be a number"),
+            ({"frame": ["A"], "masses": [{"set": ["A"], "mass": True}]},
+             "masses[0]: 'mass' must be a number"),
+            ({"frame": ["A"], "masses": [{"set": ["A"], "mass": None}]},
+             "masses[0]: 'mass' must be a number"),
         ],
     )
     def test_format_error_names_file(self, tmp_path, doc, cause):
@@ -285,12 +305,40 @@ class TestCli:
         assert float(lines[0]) == 0.0
         assert lines[1:] == []
 
-    def test_betp_output(self, example_files):
+    def test_betp_output(self, example_files, tmp_path):
         result = run_cli("betp", example_files[0])
         assert result.returncode == 0
         values = dict(line.split(",") for line in result.stdout.strip().splitlines())
         assert float(values["A"]) == pytest.approx(0.8, abs=1e-12)
         assert float(values["B"]) == pytest.approx(0.2, abs=1e-12)
+        # One label,prob line per label, in frame order, each prob a float's repr.
+        path = tmp_path / "three.json"
+        write_mass(str(path), bba(FRAME_CBA, {"C": 0.5, "BA": 0.3, "CBA": 0.2}))
+        result = run_cli("betp", str(path))
+        assert result.returncode == 0
+        rows = [line.split(",") for line in result.stdout.splitlines()]
+        assert [label for label, _ in rows] == ["C", "B", "A"]
+        assert all(prob == repr(float(prob)) for _, prob in rows)
+        assert float(rows[0][1]) == pytest.approx(0.5 + 0.2 / 3, abs=1e-12)
+
+    # As text, conflict's first line is the ∅ mass under smets and the Θ mass
+    # under yager. SKEWED sums k12 to another float in pass order; ZADEH's 0.99
+    # shows a fixed-point format, which SKEWED's 0.278278 hides.
+    @pytest.mark.parametrize("pair", [SKEWED, ZADEH], ids=["skewed", "zadeh"])
+    def test_conflict_total_is_the_empty_mass_smets_and_yager_move(self, tmp_path, capsys, pair):
+        paths = []
+        for i, m in enumerate(pair):
+            paths.append(str(tmp_path / f"m{i}.json"))
+            write_mass(paths[-1], m)
+
+        def mass_on(rule, members):
+            assert main(["combine", "--rule", rule, *paths]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            return repr(next(e["mass"] for e in doc["masses"] if e["set"] == members))
+
+        assert main(["conflict", *paths]) == 0
+        k12 = capsys.readouterr().out.splitlines()[0]
+        assert k12 == mass_on("smets", []) == mass_on("yager", ["A", "B", "C"])
 
     def test_scenario_runs_and_is_deterministic(self, tmp_path):
         config = {
@@ -365,6 +413,27 @@ class TestCli:
         assert calls == {"build_pdb": 1, "report_bba": len(set(emitters["pcr"]))}
         assert len(set(emitters["pcr"])) < 25
 
+    def test_scenario_sweep_writes_what_each_rule_writes_alone(self, tmp_path):
+        # Six rules in one process write the bytes each rule writes alone with
+        # the memos empty, as in a fresh process.
+        from belieffusion import decision, scenario
+
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(ACCEPTANCE_CONFIG), encoding="utf-8")
+        rules = ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr"]
+        sweep = tmp_path / "sweep"
+        assert main(["scenario", "--config", str(cfg), "--out", str(sweep),
+                     "--rules", ",".join(rules)]) == 0
+        for rule in rules:
+            decision._members.cache_clear()
+            scenario._report_set.cache_clear()
+            alone = tmp_path / rule
+            assert main(["scenario", "--config", str(cfg), "--out", str(alone),
+                         "--rules", rule]) == 0
+            for ext in ("csv", "meta.json"):
+                name = f"trajectory_{rule}_seed0.{ext}"
+                assert (sweep / name).read_bytes() == (alone / name).read_bytes() != b""
+
     def test_scenario_rule_that_cannot_fuse_ends_only_its_run(self, tmp_path):
         # Categorical reports: step 3 contradicts the earlier ones, so dempster and
         # inagaki cannot fuse it. Each run ends there; the sweep goes on to pcr.
@@ -419,6 +488,15 @@ class TestCli:
         assert result.stderr.startswith(prefix)
         assert cause in result.stderr
         assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_scenario_config_not_an_object_exit_2(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps([SMALL_CONFIG]), encoding="utf-8")
+        out = tmp_path / "o"
+        result = run_cli("scenario", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == f"belieffusion: {cfg}: top level must be an object\n"
         assert not out.exists()
 
     def test_scenario_missing_config_exit_5(self, tmp_path):

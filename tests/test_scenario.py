@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from belieffusion import (
+    FrameMismatchError,
     ScenarioConfig,
     ScenarioError,
     betp,
@@ -16,6 +17,7 @@ from belieffusion import (
     draw,
     fold,
     gen_report,
+    make_frame,
     report_bba,
     run_scenario,
     vacuous,
@@ -318,6 +320,12 @@ class TestReportBba:
         pdb = build_pdb(cfg, fresh_rng())
         with pytest.raises(ValueError):
             report_bba(pdb.frame.empty_set(), pdb.frame, 0.8)
+
+    def test_set_of_another_frame_width_rejected(self):
+        pdb = build_pdb(make_config(), fresh_rng())
+        other = make_frame([f"x{i}" for i in range(pdb.frame.size + 1)])
+        with pytest.raises(FrameMismatchError):
+            report_bba(other.subset_of_indices([0]), pdb.frame, 0.8)
 
     def test_pignistic_spread(self):
         cfg = make_config()
