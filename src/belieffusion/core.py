@@ -102,10 +102,16 @@ class _Record:
 
 
 class Frame(_Record):
-    """An ordered tuple of exclusive, exhaustive hypothesis labels, ``size`` of them."""
+    """An ordered tuple of exclusive, exhaustive hypothesis labels, ``size`` of them.
 
-    __slots__ = ("labels", "size")
+    A frame is its own finest coarsening (``scenario.Coarsening``): its
+    ``atoms`` are the one-label masks, and ``card`` of a mask, its size in
+    labels, is its bit count.
+    """
+
+    __slots__ = ("labels", "size", "atoms")
     _fields = ("labels",)
+    card = staticmethod(int.bit_count)
 
     def __init__(self, labels: Iterable[str]) -> None:
         labels = tuple(labels)
@@ -120,6 +126,7 @@ class Frame(_Record):
             seen.add(label)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "size", len(labels))
+        object.__setattr__(self, "atoms", tuple(1 << i for i in range(len(labels))))
 
     def index(self, label: str) -> int:
         try:

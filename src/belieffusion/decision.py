@@ -31,7 +31,8 @@ Decision = namedtuple("Decision", "index probability tie")
 # misses), cross at 338-385 members on 20 labels and 343-353 on 135: reading
 # member indices from ``_members``, the loop's cost per member (52-94 ns) no
 # longer grows with the frame's width, so one budget serves every width.
-# 320 sits just below both crossings.
+# 320 sits just below both crossings. On a coarsening a member is an atom:
+# over the coarse states of the same folds, the paths cross near 320 atom visits.
 _BETP_LOOP_MEMBERS = 320
 
 # Rows of the member matrix expanded at once; bounds the int64 select block
@@ -40,18 +41,24 @@ _BETP_BLOCK = 256
 
 
 def betp(m: MassFunction) -> PignisticDistribution:
-    """Split each focal mass equally among its members.
+    """Split each focal mass equally among its labels.
 
     Only defined for closed-world bbas; mass on ∅ has no pignistic home.
 
-    Both paths add each share ``mass / |A|`` to its members' running sums,
-    entry after entry in storage order: the additions of ``probs[i] += share``,
-    so they give the same bits. Σ|A|, the loop's member visits, picks the
-    path: up to ``_BETP_LOOP_MEMBERS`` a plain loop, above it numpy, which is
-    imported only then, so ``betp`` on a small bba never loads numpy. The
-    loop reads each set's member indices from ``_members``, a process-wide
-    LRU cache of 1,024 sets keyed by the set's int mask, so a set seen before
-    costs no bit scan; the additions, and so the bits, are the same either way.
+    The sums are kept per atom of ``m.frame``: a label on a plain frame, and
+    on a ``Coarsening`` (as in ``scenario.fold``) a block of labels that every
+    focal set holds whole or not at all, so its labels all get the atom's
+    probability. ``|A|`` counts labels, ``m.frame.card(A)``: the sum of the
+    sizes of A's atoms. Both paths add each share ``mass / |A|`` to its
+    atoms' running sums, entry after entry in storage order: the additions
+    of ``probs[i] += share``, so they give the same bits, which are those of
+    each of the atom's labels on the fine frame. The loop's member visits,
+    Σ over the focal sets of their atoms, pick the path: up to
+    ``_BETP_LOOP_MEMBERS`` a plain loop, above it numpy, which is imported
+    only then, so ``betp`` on a small bba never loads numpy. The loop reads
+    each set's member indices from ``_members``, a process-wide LRU cache of
+    1,024 sets keyed by the set's int mask, so a set seen before costs no bit
+    scan; the additions, and so the bits, are the same either way.
 
     The numpy path places each share on its members by an integer select:
     the 0/1 ``uint8`` member flag times the share's int64 bits is ``+0.0``
@@ -61,6 +68,8 @@ def betp(m: MassFunction) -> PignisticDistribution:
     Axis 0 is the outer, strided one, so numpy adds row after row into the
     running row in storage order. Reducing the contiguous axis would sum
     pairwise, and ``@`` and ``einsum`` sum in BLAS order; both change bits.
+    Only the set sizes are summed by ``@``: sums of whole numbers, exact in
+    any order.
     """
     if m.open_world:
         raise ValueError("pignistic transform requires a closed-world bba")
@@ -69,16 +78,15 @@ def betp(m: MassFunction) -> PignisticDistribution:
         raise ValueError("closed-world bba carries mass on ∅, which has no pignistic home")
     # len(table) ≤ Σ|A| ≤ len(table) × |Θ|, so either bound settles most
     # calls without counting: a small or a large bba pays no Σ|A| pass.
-    n = m.frame.size
+    n, card = m.frame.size, m.frame.card
     if len(table) * n > _BETP_LOOP_MEMBERS and (
         len(table) > _BETP_LOOP_MEMBERS or sum(map(int.bit_count, table)) > _BETP_LOOP_MEMBERS
     ):
-        return PignisticDistribution(m.frame, _betp_numpy(table, n))
+        return PignisticDistribution(m.frame, _betp_numpy(table, m.frame.atoms))
     probs = [0.0] * n
     for z, v in table.items():
-        members = _members(z)
-        share = v / len(members)
-        for i in members:
+        share = v / card(z)
+        for i in _members(z):
             probs[i] += share
     return PignisticDistribution(m.frame, tuple(probs))
 
@@ -90,21 +98,24 @@ def _members(z: int) -> tuple[int, ...]:
     return tuple(_indices(z))
 
 
-def _betp_numpy(table: dict[int, float], n: int) -> tuple[float, ...]:
+def _betp_numpy(table: dict[int, float], atoms: tuple[int, ...]) -> tuple[float, ...]:
     """``betp``'s sums for a bba above the loop's member budget."""
     import numpy as np
 
+    n = len(atoms)
     nbytes = (n + 7) // 8
     packed = np.frombuffer(
         b"".join(z.to_bytes(nbytes, "little") for z in table), dtype=np.uint8
     ).reshape(len(table), nbytes)
-    shares = np.array([v / z.bit_count() for z, v in table.items()])
-    bits = shares.view(np.int64)
+    masses = np.fromiter(table.values(), np.float64, len(table))
+    # Labels per atom, as floats: a set's size is a sum of whole numbers, so exact.
+    sizes = np.array([a.bit_count() for a in atoms], dtype=np.float64)
     acc = np.zeros(n)
-    for start in range(0, len(shares), _BETP_BLOCK):
+    for start in range(0, len(masses), _BETP_BLOCK):
         block = slice(start, start + _BETP_BLOCK)
         member = np.unpackbits(packed[block], axis=1, count=n, bitorder="little")
-        rows = np.multiply(member, bits[block, None]).view(np.float64)
+        shares = masses[block] / (member @ sizes)
+        rows = np.multiply(member, shares.view(np.int64)[:, None]).view(np.float64)
         rows[0] += acc
         acc = np.add.reduce(rows, axis=0)
     return tuple(acc.tolist())
@@ -114,7 +125,13 @@ def decide(p: PignisticDistribution) -> Decision:
     """Pick the most probable singleton; ties (within TIE_TOL of the max)
     resolve to the lowest frame index with the tie flag set. Raises
     ValueError naming the first nan label, or the label of an inf maximum,
-    which no label can be within TIE_TOL of."""
+    which no label can be within TIE_TOL of.
+
+    ``probs`` holds one probability per atom of ``p.frame``, which every
+    label of the atom shares. So the tied labels are those of the tied
+    atoms: the index is the lowest of them, a label of the fine frame, and
+    ``tie`` says whether there is more than one, within one atom or across
+    atoms. On a plain frame each atom is one label."""
     probs = p.probs
     best = max(probs)  # nan only when the first label is nan
     total = sum(probs)  # one C-level pass: nan if any label is nan
@@ -123,4 +140,8 @@ def decide(p: PignisticDistribution) -> Decision:
     tied = [i for i, v in enumerate(probs) if best - v <= TIE_TOL]
     if not tied:
         raise ValueError(f"no decision: BetP({p.frame.labels[probs.index(best)]}) is {best!r}")
-    return Decision(tied[0], probs[tied[0]], len(tied) > 1)
+    atoms = p.frame.atoms
+    # The tied atom that holds the lowest label: atoms are disjoint, so their lowest bits order them.
+    first = tied[0] if len(tied) == 1 else min(tied, key=lambda i: atoms[i] & -atoms[i])
+    low = atoms[first] & -atoms[first]
+    return Decision(low.bit_length() - 1, probs[first], len(tied) > 1 or atoms[first] != low)

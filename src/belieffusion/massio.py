@@ -117,6 +117,6 @@ def read_mass(path: str) -> MassFunction:
 
 
 def write_mass(path: str, m: MassFunction) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(mass_to_dict(m), fh, ensure_ascii=False, indent=2)
         fh.write("\n")

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import struct
 import sys
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belieffusion import (
+    Coarsening,
     FocalSet,
     MassFunction,
     PignisticDistribution,
@@ -24,7 +26,7 @@ from belieffusion import (
 )
 from belieffusion import decision
 
-from conftest import EX1, FRAME_AB, ZADEH, bba
+from conftest import EX1, FRAME_AB, ZADEH, bba, random_coarsening
 from test_core import frame_and_bbas
 
 # betp's member budget that puts every bba on each path: above any bba's
@@ -304,3 +306,105 @@ def test_betp_linearity(data, lam):
 def test_betp_sums_to_one(data):
     _, (m,) = data
     assert sum(betp(m).probs) == pytest.approx(1.0, abs=1e-9)
+
+
+# A bba on a coarsening against the same bba on its fine frame.
+
+
+def coarse_and_fine(seed, n_labels, n_atoms, n_sets, poison=None):
+    """A bba on a random coarsening of ``n_labels`` labels into ``n_atoms``
+    atoms, and the same bba on the fine frame (``refine`` of its table). With
+    ``poison``, one mass in the middle of storage order is that value."""
+    rng = random.Random(seed)
+    c = random_coarsening(rng, n_labels, n_atoms)
+    table = {}
+    while len(table) < min(n_sets, 2**n_atoms - 1):
+        table[rng.getrandbits(n_atoms) or 1] = rng.random() * 10 ** rng.uniform(-6, 0)
+    total = sum(table.values())
+    table = {z: v / total for z, v in table.items()}
+    if poison is not None:
+        table[list(table)[len(table) // 2]] = poison
+    coarse = MassFunction(c, {FocalSet(z, c.size): v for z, v in table.items()})
+    return coarse, MassFunction(c.fine, {FocalSet(z, n_labels): v
+                                         for z, v in c.refine(table).items()})
+
+
+def per_label(p):
+    """A coarse distribution's probabilities spread back over the fine labels."""
+    probs = [None] * p.frame.fine.size
+    for atom, v in zip(p.frame.atoms, p.probs):
+        for i in FocalSet(atom, p.frame.fine.size).indices():
+            probs[i] = v
+    return tuple(probs)
+
+
+def same_bits(a, b):
+    return [struct.pack("<d", v) for v in a] == [struct.pack("<d", v) for v in b]
+
+
+class TestPerAtom:
+    """``betp`` and ``decide`` on a coarsening give, label for label, the bits
+    they give on the fine frame, on both of ``betp``'s paths."""
+
+    @pytest.fixture(autouse=True, params=sorted(PATH_BUDGETS))
+    def _path(self, request, monkeypatch):
+        monkeypatch.setattr(decision, "_BETP_LOOP_MEMBERS", PATH_BUDGETS[request.param])
+
+    @pytest.mark.parametrize("n_labels, n_atoms, n_sets", [
+        (1, 1, 1), (5, 2, 3), (20, 4, 15), (20, 20, 300), (135, 12, 400), (135, 27, 600),
+    ])
+    @pytest.mark.parametrize("poison", [None, math.inf, math.nan])
+    def test_betp_and_decide_match_the_fine_frame(self, n_labels, n_atoms, n_sets, poison):
+        coarse, fine = coarse_and_fine(n_labels * n_sets, n_labels, n_atoms, n_sets, poison)
+        p, q = betp(coarse), betp(fine)
+        assert same_bits(per_label(p), q.probs)
+        assert same_bits(per_label(p), reference_betp(fine))
+        if poison is None:
+            assert decide(p) == decide(q)
+        else:
+            for dist in (p, q):
+                with pytest.raises(ValueError, match="no decision"):
+                    decide(dist)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 12), st.data())
+    def test_random_coarsenings(self, seed, n_labels, data):
+        n_atoms = data.draw(st.integers(1, n_labels))
+        n_sets = data.draw(st.integers(1, 2**n_atoms - 1))
+        coarse, fine = coarse_and_fine(seed, n_labels, n_atoms, n_sets)
+        p, q = betp(coarse), betp(fine)
+        assert same_bits(per_label(p), q.probs)
+        assert decide(p) == decide(q)
+
+
+class TestDecidePerAtom:
+    """``decide`` on a coarse distribution: its index is the lowest label of
+    the tied atoms, and ``tie`` is whether more than one label tied."""
+
+    # Atoms by highest label: {h1, h2}, {h0, h3}, {h4}.
+    FINE = make_frame(["h0", "h1", "h2", "h3", "h4"])
+    COARSE = Coarsening(FINE, [0b00110, 0b10000])
+
+    @pytest.mark.parametrize("probs, index, tie", [
+        ((0.1, 0.1, 0.6), 4, False),  # one atom of one label
+        ((0.3, 0.1, 0.2), 1, True),  # one atom, two labels tie inside it
+        ((0.2, 0.2, 0.2), 0, True),  # across atoms: the lowest label, h0, is in the second
+        ((0.1, 0.4, 0.4 - 1e-13), 0, True),  # within TIE_TOL
+        ((0.1, 0.1, 0.1 + 1e-13), 0, True),
+        ((0.3, 0.1, 0.3 - 1e-13), 1, True),  # h1 and h4 tie: h1
+        ((0.1, 0.1, 0.1 + 1e-9), 4, False),  # beyond TIE_TOL
+    ])
+    def test_ties(self, probs, index, tie):
+        assert self.COARSE.atoms == (0b00110, 0b01001, 0b10000)
+        p = PignisticDistribution(self.COARSE, probs)
+        fine = PignisticDistribution(self.FINE, per_label(p))
+        d = decide(p)
+        assert (d.index, d.tie) == (index, tie)
+        assert d == decide(fine)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.25 + 1e-13, 0.5, 0.5 - 1e-13, 1.0]),
+                    min_size=3, max_size=3))
+    def test_matches_the_fine_frame(self, probs):
+        p = PignisticDistribution(self.COARSE, tuple(probs))
+        assert decide(p) == decide(PignisticDistribution(self.FINE, per_label(p)))

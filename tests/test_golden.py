@@ -101,6 +101,26 @@ def test_metadata_bytes(tmp_path):
     assert _sha256(path) == METADATA_SHA256
 
 
+@pytest.mark.parametrize("writer", ["write_trajectory_csv", "write_metadata", "write_mass"])
+def test_written_bytes_do_not_depend_on_the_platform_newline(tmp_path, monkeypatch, writer):
+    # A text file opened without newline="" turns each "\n" into os.linesep,
+    # "\r\n" on Windows; an open that does so here stands in for that platform.
+    from belieffusion import massio, scenario
+
+    def crlf_open(file, mode="r", *args, newline=None, **kwargs):
+        return open(file, mode, *args, newline="\r\n" if newline is None else newline, **kwargs)
+
+    module = massio if writer == "write_mass" else scenario
+    monkeypatch.setattr(module, "open", crlf_open, raising=False)
+    result = run_scenario(ScenarioConfig(rule="dempster", **DESK))
+    path = tmp_path / "out"
+    getattr(module, writer)(str(path), result.final_state if writer == "write_mass" else result)
+    data = path.read_bytes()
+    assert b"\n" in data and b"\r" not in data
+    if writer == "write_metadata":
+        assert _sha256(path) == METADATA_SHA256
+
+
 ROOT = Path(__file__).parents[1]
 
 DEMO_STDOUT = [

@@ -383,11 +383,14 @@ class TestCli:
         assert content.strip() == "step,rule,emitter,set_size,k12,betp_truth,betp_similar,decided,tie"
 
     def test_scenario_draws_once_for_every_rule(self, tmp_path, monkeypatch):
-        # One database and one report bba per distinct emitter serve all six
-        # rules; building them per rule and per step would also pass the
+        # One database and one report bba per distinct report set serve all
+        # six rules; building them per rule and per step would also pass the
         # byte checks, so count the builds.
         from belieffusion import scenario
 
+        config = {"n_targets": 8, "n_emitters": 16, "emitters_per_target": [2, 4],
+                  "truth_index": 2, "similar_target": 3, "n_reports": 25, "seed": 7}
+        reports = scenario.draw(scenario.ScenarioConfig(**config))[1]
         calls = {"build_pdb": 0, "report_bba": 0}
         for name in calls:
             original = getattr(scenario, name)
@@ -397,8 +400,6 @@ class TestCli:
                 return _original(*args)
 
             monkeypatch.setattr(scenario, name, counting)
-        config = {"n_targets": 8, "n_emitters": 16, "emitters_per_target": [2, 4],
-                  "truth_index": 2, "similar_target": 3, "n_reports": 25, "seed": 7}
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config), encoding="utf-8")
         rules = ["dempster", "yager", "inagaki", "pcr", "dubois-prade", "sacr"]
@@ -410,8 +411,9 @@ class TestCli:
             for rule in rules
         }
         assert all(column == emitters["pcr"] for column in emitters.values())
-        assert calls == {"build_pdb": 1, "report_bba": len(set(emitters["pcr"]))}
-        assert len(set(emitters["pcr"])) < 25
+        assert emitters["pcr"] == [str(e) for e, _ in reports]
+        assert calls == {"build_pdb": 1, "report_bba": len({s for _, s in reports})}
+        assert len({s for _, s in reports}) < len(set(emitters["pcr"])) < 25
 
     def test_scenario_sweep_writes_what_each_rule_writes_alone(self, tmp_path):
         # Six rules in one process write the bytes each rule writes alone with
@@ -657,9 +659,9 @@ PACKAGE_NAMES = {
               "TotalConflictError", "acr_generic", "acr_inagaki_weights", "alpha0", "beta0",
               "dempster", "dsmh", "dubois_prade", "inagaki_extreme", "inagaki_generic", "pcr",
               "pcr_shares", "sacr", "smets", "yager"],
-    "scenario": ["PlatformDatabase", "ScenarioConfig", "ScenarioError", "ScenarioResult",
-                 "TrajectoryRecord", "build_pdb", "gen_report", "report_bba", "draw", "fold",
-                 "run_scenario"],
+    "scenario": ["Coarsening", "PlatformDatabase", "ScenarioConfig", "ScenarioError",
+                 "ScenarioResult", "TrajectoryRecord", "build_pdb", "gen_report", "report_bba",
+                 "draw", "fold", "run_scenario"],
 }
 
 

@@ -1,19 +1,27 @@
 import copy
 import dataclasses
 import functools
+import itertools
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belieffusion import (
+    Coarsening,
+    DegenerateError,
+    FocalSet,
     FrameMismatchError,
     ScenarioConfig,
     ScenarioError,
     betp,
     build_pdb,
     conflict,
+    decide,
     draw,
     fold,
     gen_report,
@@ -26,7 +34,9 @@ from belieffusion import (
 from belieffusion import core, rules, scenario
 from belieffusion.core import SUM_TOL
 from belieffusion.rules import RULES
-from belieffusion.scenario import write_trajectory_csv
+from belieffusion.scenario import TrajectoryRecord, write_trajectory_csv
+
+from conftest import random_coarsening
 
 
 def make_config(**overrides) -> ScenarioConfig:
@@ -543,3 +553,171 @@ class TestRecords:
         a, b = self.result().records, self.result().records
         assert a[0] is not b[0] and a[0] == b[0] and hash(a[0]) == hash(b[0])
         assert a[0] != a[1]
+
+
+SIX_RULES = ("dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr")
+
+
+def reference_fold(config):
+    """The fold step by step on the frame itself, through the public rule,
+    ``conflict``, ``betp`` and ``decide``: (records, failed_at, final state)."""
+    pdb, reports, bbas = draw(config)
+    state, records = vacuous(pdb.frame), []
+    for step, (emitter, report_set) in enumerate(reports, start=1):
+        k12 = conflict(state, bbas[emitter]).total
+        try:
+            state = RULES[config.rule](state, bbas[emitter])
+        except DegenerateError:
+            return tuple(records), step, state
+        p = betp(state)
+        d = decide(p)
+        similar = None if config.similar_target is None else p.probs[config.similar_target]
+        records.append(TrajectoryRecord(step, emitter, report_set.cardinality, k12,
+                                        p.probs[config.truth_index], similar, d.index, d.tie))
+    return tuple(records), None, state
+
+
+def assert_fold_matches_reference(config):
+    records, failed_at, state = reference_fold(config)
+    result = run_scenario(config)
+    assert result.records == records and result.failed_at == failed_at
+    # The same bits, and the final state's sets and masses in the same order.
+    assert [tuple(map(repr, r)) for r in result.records] == [tuple(map(repr, r)) for r in records]
+    assert result.final_state.frame is result.pdb.frame
+    assert list(result.final_state._table.items()) == list(state._table.items())
+    return result
+
+
+@st.composite
+def small_configs(draw):
+    n_targets = draw(st.integers(3, 12))
+    truth = draw(st.integers(0, n_targets - 1))
+    similar = draw(st.none() | st.integers(0, n_targets - 1).filter(lambda t: t != truth))
+    lo = draw(st.integers(1 if similar is None else 2, 3))  # a similar target needs 2
+    return ScenarioConfig(
+        n_targets=n_targets, n_emitters=draw(st.integers(lo + 1, 3 * n_targets)),
+        emitters_per_target=(lo, draw(st.integers(lo, 5))),
+        truth_index=truth, similar_target=similar, pfa=draw(st.floats(0.0, 1.0)),
+        n_reports=draw(st.integers(0, 15)), report_mass=draw(st.sampled_from([0.3, 0.8, 1.0])),
+        rule=draw(st.sampled_from(SIX_RULES)), seed=draw(st.integers(0, 2**64 - 1)))
+
+
+class TestFoldOnTheCoarsening:
+    """The fold runs on the atoms of its report sets; its records and final
+    state are those of a fold on the frame itself, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_configs())
+    def test_random_configs(self, config):
+        assert_fold_matches_reference(config)
+
+    @pytest.mark.parametrize("rule", SIX_RULES)
+    @pytest.mark.parametrize("overrides", [
+        dict(n_reports=0),
+        dict(similar_target=None, emitters_per_target=(1, 3)),
+        dict(n_targets=135, n_emitters=200, emitters_per_target=(5, 9), truth_index=4,
+             similar_target=5, seed=4),
+    ], ids=["no-reports", "no-similar-lo-1", "wide"])
+    def test_edge_configs(self, rule, overrides):
+        assert_fold_matches_reference(make_config(rule=rule, **overrides))
+
+    @pytest.mark.parametrize("rule", ["dempster", "inagaki"])
+    def test_run_that_stops_at_failed_at(self, rule):
+        result = assert_fold_matches_reference(
+            make_config(rule=rule, report_mass=1.0, n_reports=25, seed=3))
+        assert result.failed_at == 3
+
+
+def union_of(atoms, x):
+    """The mask on the fine frame of the atom mask ``x``: the union of its atoms."""
+    return sum(a for j, a in enumerate(atoms) if x >> j & 1)
+
+
+def assert_coarsening(fine, sets):
+    c = Coarsening(fine, sets)
+    full = (1 << fine.size) - 1
+    assert all(c.atoms) and sum(c.atoms) == full  # disjoint, non-empty and covering
+    assert list(c.atoms) == sorted(c.atoms, key=int.bit_length)  # by highest label
+    assert (c.size, c.fine) == (len(c.atoms), fine)
+    for s in set(sets):
+        assert union_of(c.atoms, c.coarsen(s)) == s  # every set is a union of atoms
+    # Every union when there are few atoms, else ∅, Θ and 24 random ones.
+    if c.size <= 6:
+        masks = range(2**c.size)
+    else:
+        rng = random.Random(c.size)
+        masks = [0, 2**c.size - 1, *(rng.getrandbits(c.size) for _ in range(24))]
+    assert (union_of(c.atoms, 0), union_of(c.atoms, 2**c.size - 1)) == (0, full)  # ∅ and Θ
+    for x in masks:
+        fx = union_of(c.atoms, x)
+        assert c.refine({x: 1.0}) == {fx: 1.0} and c.card(x) == fx.bit_count()
+        assert x == 0 or c.coarsen(fx) == x
+        for y in masks:
+            fy = union_of(c.atoms, y)
+            assert union_of(c.atoms, x & y) == fx & fy and union_of(c.atoms, x | y) == fx | fy
+            assert (x < y) == (fx < fy)
+    return c
+
+
+class TestCoarsening:
+    @pytest.mark.parametrize("n, family_size", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_every_small_family(self, n, family_size):
+        # The atoms partition Θ, every set is a union of them, and the map from
+        # unions to atom masks keeps ∩, ∪, ∅, Θ and integer <, on every family.
+        fine = make_frame("ABCD"[:n])
+        subsets = range(1, 2**n)
+        for family in itertools.combinations(subsets, family_size):
+            c = assert_coarsening(fine, family)
+            # the coarsest such partition: no two atoms lie in exactly the same sets
+            keys = [tuple(a & s != 0 for s in family) for a in c.atoms]
+            assert len(set(keys)) == len(keys)
+
+    def test_atoms_ordered_by_lowest_label_would_reorder_unions(self):
+        # {B, C} and {A, D}: by highest label {B, C} comes first, and so do
+        # its unions; by lowest label the atom masks would sort the other way.
+        fine = make_frame("ABCD")
+        c = assert_coarsening(fine, [0b0110])
+        assert c.atoms == (0b0110, 0b1001)
+        assert c.labels == ("B∪C", "A∪D")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 2**n - 1), max_size=6))))
+    def test_random_families(self, data):
+        n, sets = data
+        assert_coarsening(make_frame([f"h{i}" for i in range(n)]), sets)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 2**32), st.integers(1, 3000))
+    def test_refine_keeps_every_mask_and_the_order(self, n_atoms, seed, count):
+        # Tables large enough to need several chunks, each up to 16 atoms wide.
+        rng = random.Random(seed)
+        c = random_coarsening(rng, 2 * n_atoms + 5, n_atoms)
+        assert c.size == n_atoms
+        table = {}
+        while len(table) < min(count, 2**n_atoms - 1):
+            table[rng.getrandbits(n_atoms) or 1] = rng.random()
+        refined = c.refine(table)
+        assert list(refined.values()) == list(table.values())
+        assert list(refined) == [union_of(c.atoms, x) for x in table]
+
+    def test_set_that_is_not_a_union_rejected(self):
+        c = Coarsening(make_frame("ABCD"), [0b0011])
+        with pytest.raises(ValueError, match="not a union"):
+            c.coarsen(0b0001)
+
+    def test_record_behaviour(self):
+        fine = make_frame("ABCD")
+        c = Coarsening(fine, [0b0011, 0b0110])
+        assert c == Coarsening(fine, [0b0110, 0b0011, 0b0110]) != fine
+        assert hash(c) == hash(Coarsening(fine, c.atoms))
+        assert pickle.loads(pickle.dumps(c)) == c
+        assert repr(c) == f"Coarsening(fine={fine!r}, atoms=(1, 2, 4, 8))"
+        m = core._mass(c, {0b0110: 0.5, 0b1111: 0.5})
+        assert validate(m).ok and pickle.loads(pickle.dumps(m)) == m
+        assert FocalSet(0b0110, 4).label(c) == "B∪C"
+
+    def test_plain_frame_is_its_own_finest_coarsening(self):
+        fine = make_frame("ABCD")
+        assert fine.atoms == Coarsening(fine, [1, 2, 4]).atoms == (1, 2, 4, 8)
+        assert fine.card(0b1011) == 3
