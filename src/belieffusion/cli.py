@@ -17,11 +17,11 @@ writes anything), 3 frame mismatch, 4 a ``combine`` rule that cannot fuse
 (total conflict or degenerate combination), 5 I/O error. Each failure prints
 one ``belieffusion: <cause>`` line; diagnostics go to stderr, data to stdout.
 
-``scenario`` draws the database and the report stream once and folds that one
-draw under each ``--rules`` entry, so every rule fuses the same reports. A rule
-that cannot fuse a report (k12 = 1 under ``dempster`` or ``inagaki``) ends its
-trajectory there: ``failed_at`` records the step, one line names the rule and
-the step, and the sweep goes on with exit 0.
+``scenario`` draws the database, the reports, their coarsening and its report
+bbas once, and folds that draw under each ``--rules`` entry, so every rule fuses
+the same bbas. A rule that cannot fuse a report (k12 = 1 under ``dempster`` or
+``inagaki``) ends its trajectory there: ``failed_at`` records the step, one
+line names the rule and the step, and the sweep goes on with exit 0.
 
 README's Install section states which modules each command loads, numpy included.
 """

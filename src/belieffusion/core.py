@@ -105,13 +105,14 @@ class Frame(_Record):
     """An ordered tuple of exclusive, exhaustive hypothesis labels, ``size`` of them.
 
     A frame is its own finest coarsening (``scenario.Coarsening``): its
-    ``atoms`` are the one-label masks, and ``card`` of a mask, its size in
-    labels, is its bit count.
+    ``fine`` frame is itself, its ``atoms`` are the one-label masks, and
+    ``card`` of a mask, its size in labels, is its bit count.
     """
 
     __slots__ = ("labels", "size", "atoms")
     _fields = ("labels",)
     card = staticmethod(int.bit_count)
+    fine = property(lambda self: self)
 
     def __init__(self, labels: Iterable[str]) -> None:
         labels = tuple(labels)
@@ -133,6 +134,11 @@ class Frame(_Record):
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"label not in frame: {label!r}") from None
+
+    def atom(self, label: str) -> int:
+        """The index of the atom that holds ``label``, a label of ``fine``."""
+        i = self.fine.index(label)
+        return next(j for j, a in enumerate(self.atoms) if a >> i & 1)
 
     def empty_set(self) -> FocalSet:
         return FocalSet(0, self.size)

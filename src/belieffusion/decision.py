@@ -13,12 +13,12 @@ TIE_TOL = 1e-12
 
 
 class PignisticDistribution(namedtuple("PignisticDistribution", "frame probs")):
-    """Probability vector ``probs`` over the singletons of ``frame``."""
+    """Probabilities ``probs`` per atom of ``frame``; ``prob`` reads a fine label's."""
 
     __slots__ = ()
 
     def prob(self, label: str) -> float:
-        return self.probs[self.frame.index(label)]
+        return self.probs[self.frame.atom(label)]
 
 
 # The chosen frame index, its probability, and whether other singletons tie with it.
@@ -47,18 +47,15 @@ def betp(m: MassFunction) -> PignisticDistribution:
 
     The sums are kept per atom of ``m.frame``: a label on a plain frame, and
     on a ``Coarsening`` (as in ``scenario.fold``) a block of labels that every
-    focal set holds whole or not at all, so its labels all get the atom's
-    probability. ``|A|`` counts labels, ``m.frame.card(A)``: the sum of the
-    sizes of A's atoms. Both paths add each share ``mass / |A|`` to its
-    atoms' running sums, entry after entry in storage order: the additions
-    of ``probs[i] += share``, so they give the same bits, which are those of
-    each of the atom's labels on the fine frame. The loop's member visits,
-    Σ over the focal sets of their atoms, pick the path: up to
-    ``_BETP_LOOP_MEMBERS`` a plain loop, above it numpy, which is imported
-    only then, so ``betp`` on a small bba never loads numpy. The loop reads
-    each set's member indices from ``_members``, a process-wide LRU cache of
-    1,024 sets keyed by the set's int mask, so a set seen before costs no bit
-    scan; the additions, and so the bits, are the same either way.
+    focal set holds whole or not at all, all of which get the atom's sum.
+    Both paths add each share ``mass / |A|``, with ``|A|`` counted in labels
+    (``m.frame.card``), to A's atoms in storage order: the additions of
+    ``probs[i] += share``, so they give the same bits, those of each of the
+    atom's labels on the fine frame. The loop's member visits, Σ over the
+    focal sets of their atoms, pick the path: up to ``_BETP_LOOP_MEMBERS`` a
+    plain loop, above it numpy, which is imported only then, so ``betp`` on
+    a small bba never loads numpy. The loop's ``_members`` cache spares a bit
+    scan and changes no addition.
 
     The numpy path places each share on its members by an integer select:
     the 0/1 ``uint8`` member flag times the share's int64 bits is ``+0.0``

@@ -9,8 +9,8 @@ trajectory is recorded.
 Randomness comes from a single seeded PCG64 generator consumed only by
 database construction and report generation, so the report stream is
 identical no matter which rule is under test, and trajectories are
-bit-reproducible across processes. ``draw`` builds the database, the stream
-and its report bbas once; ``fold`` runs one rule over them.
+bit-reproducible across processes. ``draw`` builds the database, the stream,
+its coarsening and the report bbas on it once; ``fold`` runs one rule over them.
 """
 
 from __future__ import annotations
@@ -253,17 +253,22 @@ FocalSet)`` reports, a ``TrajectoryRecord`` per completed step, the step of a to
 (``failed_at``, an int or None) and the last fused ``MassFunction`` (``final_state``)."""
 
 
-def draw(config: ScenarioConfig) -> tuple[PlatformDatabase, tuple, dict[int, MassFunction]]:
-    """The config's database, its ``(emitter, FocalSet)`` reports, and each
-    reported emitter's report bba, built once per distinct report set, so
-    emitters with the same owners share one. Nothing here reads
-    ``config.rule``, so every rule can fold the same draw."""
+def draw(config: ScenarioConfig) -> tuple[PlatformDatabase, tuple, Coarsening, dict]:
+    """The config's database, its ``(emitter, FocalSet)`` reports, the
+    ``Coarsening`` of the frame that the distinct report sets induce, and each
+    reported emitter's report bba on it, one per distinct report set, shared
+    by the emitters with those owners. Nothing here reads ``config.rule``, so
+    every rule can fold the same draw. Every set a fold makes is a union of
+    the atoms: 3-4 on 20 targets and 6-27 on 135, over the seeds of
+    perfbench's two sweeps; a stream without reports has one atom."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     pdb = build_pdb(config, rng)
     reports = tuple(gen_report(pdb, config, rng) for _ in range(config.n_reports))
-    sets = {s.bits: s for _, s in reports}
-    made = {z: report_bba(s, pdb.frame, config.report_mass) for z, s in sets.items()}
-    return pdb, reports, {e: made[s.bits] for e, s in reports}
+    sets = {s.bits for _, s in reports}
+    frame = Coarsening(pdb.frame, sets)
+    made = {z: report_bba(FocalSet(frame.coarsen(z), frame.size), frame, config.report_mass)
+            for z in sets}
+    return pdb, reports, frame, {e: made[s.bits] for e, s in reports}
 
 
 class Coarsening(Frame):
@@ -349,11 +354,8 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
     both the fused state and its k12. ``drawn`` must be ``draw`` of a config
     that differs from ``config`` at most in ``rule``.
 
-    Every set a step makes is built by ∩ and ∪ from the report sets, so it
-    is a union of the atoms of the ``Coarsening`` those sets induce: 3-4
-    atoms on 20 targets and 6-27 on 135, over the seeds of perfbench's two
-    sweeps. The steps, ``betp`` and ``decide`` run on atom masks, and only
-    the final state is mapped back to the frame. The atoms' order keeps
+    The steps, ``betp`` and ``decide`` run on the draw's coarsening, and
+    only the final state is mapped back to the frame. The atoms' order keeps
     every insertion, sort and sum of a step, so the records and the final
     state have the bits of a fold on the frame itself.
 
@@ -361,22 +363,16 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
     included) ends the trajectory at that step, reported through ``failed_at``
     rather than raised: a rule's limit of applicability is a measurement.
     """
-    pdb, reports, bbas = drawn
-    # One coarse bba per bba object: draw shares one between the emitters of a report set.
-    distinct = {id(m): m for m in bbas.values()}
-    frame = Coarsening(pdb.frame, (z for m in distinct.values() for z in m._table))
-    made = {i: _mass(frame, {frame.coarsen(z): v for z, v in m._table.items()})
-            for i, m in distinct.items()}
-    coarse = {e: made[id(m)] for e, m in bbas.items()}
+    pdb, reports, frame, bbas = drawn
     # The atoms of the truth and of the similar target, whose BetP the records hold.
-    truth, similar = (None if t is None else next(j for j, a in enumerate(frame.atoms) if a >> t & 1)
+    truth, similar = (None if t is None else frame.atom(pdb.frame.labels[t])
                       for t in (config.truth_index, config.similar_target))
     state = vacuous(frame)
     records: list[TrajectoryRecord] = []
     failed_at: Optional[int] = None
     for step, (emitter, report_set) in enumerate(reports, start=1):
         try:
-            state, k12 = _step(config.rule, state, coarse[emitter])
+            state, k12 = _step(config.rule, state, bbas[emitter])
         except DegenerateError:
             failed_at = step
             break

@@ -376,6 +376,23 @@ class TestPerAtom:
         assert same_bits(per_label(p), q.probs)
         assert decide(p) == decide(q)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 12), st.data())
+    def test_prob_reads_every_fine_label(self, seed, n_labels, data):
+        n_atoms = data.draw(st.integers(1, n_labels))
+        n_sets = data.draw(st.integers(1, 2**n_atoms - 1))
+        coarse, fine = coarse_and_fine(seed, n_labels, n_atoms, n_sets)
+        p, q = betp(coarse), betp(fine)
+        labels = fine.frame.labels
+        assert same_bits([p.prob(label) for label in labels], [q.prob(label) for label in labels])
+
+    def test_prob_takes_fine_labels_not_atom_labels(self):
+        p = betp(vacuous(Coarsening(make_frame("abc"), [0b011])))
+        assert p.frame.labels == ("a∪b", "c") and p.probs == (1 / 3, 1 / 3)
+        assert [p.prob(label) for label in "abc"] == [1 / 3] * 3
+        with pytest.raises(KeyError, match="a∪b"):
+            p.prob("a∪b")
+
 
 class TestDecidePerAtom:
     """``decide`` on a coarse distribution: its index is the lowest label of

@@ -383,15 +383,15 @@ class TestCli:
         assert content.strip() == "step,rule,emitter,set_size,k12,betp_truth,betp_similar,decided,tie"
 
     def test_scenario_draws_once_for_every_rule(self, tmp_path, monkeypatch):
-        # One database and one report bba per distinct report set serve all
-        # six rules; building them per rule and per step would also pass the
-        # byte checks, so count the builds.
+        # One database, one coarsening and one report bba per distinct report
+        # set serve all six rules; building them per rule and per step would
+        # also pass the byte checks, so count the builds.
         from belieffusion import scenario
 
         config = {"n_targets": 8, "n_emitters": 16, "emitters_per_target": [2, 4],
                   "truth_index": 2, "similar_target": 3, "n_reports": 25, "seed": 7}
         reports = scenario.draw(scenario.ScenarioConfig(**config))[1]
-        calls = {"build_pdb": 0, "report_bba": 0}
+        calls = {"build_pdb": 0, "report_bba": 0, "Coarsening": 0}
         for name in calls:
             original = getattr(scenario, name)
 
@@ -412,7 +412,8 @@ class TestCli:
         }
         assert all(column == emitters["pcr"] for column in emitters.values())
         assert emitters["pcr"] == [str(e) for e, _ in reports]
-        assert calls == {"build_pdb": 1, "report_bba": len({s for _, s in reports})}
+        assert calls == {"build_pdb": 1, "report_bba": len({s for _, s in reports}),
+                         "Coarsening": 1}
         assert len({s for _, s in reports}) < len(set(emitters["pcr"])) < 25
 
     def test_scenario_sweep_writes_what_each_rule_writes_alone(self, tmp_path):

@@ -272,7 +272,7 @@ class TestDrawReportSets:
     def test_one_report_set_per_distinct_emitter(self):
         cfg = make_config(n_reports=40)
         scenario._report_set.cache_clear()
-        pdb, reports, _ = draw(cfg)
+        pdb, reports, _, _ = draw(cfg)
         emitters = [e for e, _ in reports]
         owners = {pdb.emitter_index[e] for e in emitters}
         info = scenario._report_set.cache_info()
@@ -292,10 +292,28 @@ class TestDrawReportSets:
         report_set = functools.lru_cache(maxsize=2)(scenario._report_set.__wrapped__)
         monkeypatch.setattr(scenario, "_report_set", report_set)
         cfg = make_config(n_reports=40)
-        pdb, reports, _ = draw(cfg)
+        pdb, reports, _, _ = draw(cfg)
         assert report_set.cache_info().misses > 2
         assert reports == tuple((e, pdb.frame.subset_of_indices(pdb.emitter_index[e]))
                                 for e, _ in reports)
+
+    def test_report_bbas_sit_on_the_draws_coarsening(self):
+        # Every bba is on the draw's own coarsening object, one per report set,
+        # and refines to the report bba of that set on the frame, in its order.
+        cfg = make_config(n_reports=40)
+        pdb, reports, frame, bbas = draw(cfg)
+        assert isinstance(frame, Coarsening) and frame.fine is pdb.frame
+        assert all(m.frame is frame for m in bbas.values())
+        by_set = {}
+        for emitter, report_set in reports:
+            assert by_set.setdefault(report_set.bits, bbas[emitter]) is bbas[emitter]
+            fine = report_bba(report_set, pdb.frame, cfg.report_mass)
+            assert list(frame.refine(bbas[emitter]._table).items()) == list(fine._table.items())
+        assert len({id(m) for m in bbas.values()}) == len(by_set) < len(set(bbas))
+
+    def test_draw_without_reports_has_one_atom(self):
+        pdb, reports, frame, bbas = draw(make_config(n_reports=0))
+        assert (reports, bbas, frame.atoms) == ((), {}, ((1 << pdb.frame.size) - 1,))
 
     def test_each_database_gets_its_own_sets(self):
         # Two draws on frames of different widths, interleaved report by report.
@@ -561,12 +579,13 @@ SIX_RULES = ("dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr")
 def reference_fold(config):
     """The fold step by step on the frame itself, through the public rule,
     ``conflict``, ``betp`` and ``decide``: (records, failed_at, final state)."""
-    pdb, reports, bbas = draw(config)
+    pdb, reports, _, _ = draw(config)
     state, records = vacuous(pdb.frame), []
     for step, (emitter, report_set) in enumerate(reports, start=1):
-        k12 = conflict(state, bbas[emitter]).total
+        rb = report_bba(report_set, pdb.frame, config.report_mass)
+        k12 = conflict(state, rb).total
         try:
-            state = RULES[config.rule](state, bbas[emitter])
+            state = RULES[config.rule](state, rb)
         except DegenerateError:
             return tuple(records), step, state
         p = betp(state)
@@ -721,3 +740,13 @@ class TestCoarsening:
         fine = make_frame("ABCD")
         assert fine.atoms == Coarsening(fine, [1, 2, 4]).atoms == (1, 2, 4, 8)
         assert fine.card(0b1011) == 3
+
+    def test_atom_of_a_fine_label(self):
+        fine = make_frame("ABCD")
+        c = Coarsening(fine, [0b0110])
+        assert c.atoms == (0b0110, 0b1001) and c.fine is fine.fine is fine
+        assert [c.atom(label) for label in "ABCD"] == [1, 0, 0, 1]
+        assert [fine.atom(label) for label in "ABCD"] == [0, 1, 2, 3]
+        for fr in (fine, c):
+            with pytest.raises(KeyError, match="label not in frame"):
+                fr.atom("B∪C")
