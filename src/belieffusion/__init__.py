@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 # decision and scenario load on first access (PEP 562), so that the CLI
 # commands that never call them do not pay for importing them.
 _LAZY = {"decision": ("Decision", "PignisticDistribution", "betp", "decide"),
-         "scenario": ("Coarsening", "PlatformDatabase", "ScenarioConfig", "ScenarioResult",
-                      "TrajectoryRecord", "build_pdb", "gen_report", "report_bba", "draw", "fold",
-                      "run_scenario")}
+         "scenario": ("PlatformDatabase", "ScenarioConfig", "ScenarioResult", "TrajectoryRecord",
+                      "build_pdb", "gen_report", "report_bba", "draw", "fold", "run_scenario")}
 __all__ = [n for n in globals() if n[0] != "_"] + [n for m, ns in _LAZY.items() for n in (m, *ns)]
 
 

@@ -102,19 +102,24 @@ class _Record:
 
 
 class Frame(_Record):
-    """An ordered tuple of exclusive, exhaustive hypothesis labels, ``size`` of them.
+    """An ordered tuple of exclusive, exhaustive hypothesis labels, partitioned
+    into ``size`` atoms: one per label, or with ``sets`` the coarsest partition
+    of which every mask in ``sets`` is a union (Shafer 1976, ch. 6). A focal
+    set is a set of atoms, but every method takes and returns labels.
+    ``atoms`` holds each atom's mask on the labels, ordered by highest label,
+    and ``card`` of a set of atoms is its size in labels.
 
-    A frame is its own finest coarsening (``scenario.Coarsening``): its
-    ``fine`` frame is itself, its ``atoms`` are the one-label masks, and
-    ``card`` of a mask, its size in labels, is its bit count.
+    With that order the map from the unions of atoms to atom masks (``coarsen``,
+    inverted by ``refine``) keeps ∩, ∪, ∅, Θ and integer ``<``: the highest
+    label where two unions differ lies in the highest atom where they differ.
+    So a pair pass, a sort or a left-to-right sum over atom masks visits its
+    entries in the order it would over the unions themselves.
     """
 
-    __slots__ = ("labels", "size", "atoms")
-    _fields = ("labels",)
-    card = staticmethod(int.bit_count)
-    fine = property(lambda self: self)
+    __slots__ = ("labels", "size", "atoms", "card")
+    _fields = ("labels", "atoms")
 
-    def __init__(self, labels: Iterable[str]) -> None:
+    def __init__(self, labels: Iterable[str], sets: Iterable[int] | None = None) -> None:
         labels = tuple(labels)
         if not labels:
             raise ValueError("frame needs at least one label")
@@ -125,20 +130,40 @@ class Frame(_Record):
             if label in seen:
                 raise ValueError(f"duplicate label in frame: {label!r}")
             seen.add(label)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "size", len(labels))
-        object.__setattr__(self, "atoms", tuple(1 << i for i in range(len(labels))))
+        if sets is None:
+            atoms = [1 << i for i in range(len(labels))]
+        else:
+            atoms = [(1 << len(labels)) - 1]
+            for s in set(sets):
+                atoms = [part for a in atoms for part in (a & s, a & ~s) if part]
+            atoms.sort()  # disjoint masks sort by their highest label
+        card = (int.bit_count if len(atoms) == len(labels)
+                else _Cards(a.bit_count() for a in atoms).__getitem__)
+        for name, value in (("labels", labels), ("size", len(atoms)), ("atoms", tuple(atoms)),
+                            ("card", card)):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        atoms = "" if self.size == len(self.labels) else f", atoms={self.atoms!r}"
+        return f"Frame(labels={self.labels!r}{atoms})"
+
+    def __reduce__(self) -> tuple:  # a plain frame skips the partition, quadratic in labels
+        return Frame, (self.labels,) if self.size == len(self.labels) else self._key(self)
+
+    def _mask(self, labels: Iterable[str]) -> int:
+        """The mask of ``labels`` on the labels, not on the atoms."""
+        bits = 0
+        for label in labels:
+            try:
+                bits |= 1 << self.labels.index(label)
+            except ValueError:
+                raise KeyError(f"label not in frame: {label!r}") from None
+        return bits
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"label not in frame: {label!r}") from None
-
-    def atom(self, label: str) -> int:
-        """The index of the atom that holds ``label``, a label of ``fine``."""
-        i = self.fine.index(label)
-        return next(j for j, a in enumerate(self.atoms) if a >> i & 1)
+        """The index of the atom that holds ``label``."""
+        bit = self._mask((label,))
+        return next(j for j, a in enumerate(self.atoms) if a & bit)
 
     def empty_set(self) -> FocalSet:
         return FocalSet(0, self.size)
@@ -147,15 +172,62 @@ class Frame(_Record):
         return FocalSet((1 << self.size) - 1, self.size)
 
     def subset(self, labels: Iterable[str]) -> FocalSet:
-        return self.subset_of_indices(self.index(label) for label in labels)
+        """The set of ``labels``; raises ValueError when they split an atom."""
+        return FocalSet(self.coarsen(self._mask(labels)), self.size)
 
     def subset_of_indices(self, indices: Iterable[int]) -> FocalSet:
+        """The set of the atoms at ``indices``."""
         bits = 0
         for i in indices:
             if not 0 <= i < self.size:
                 raise IndexError(i)
             bits |= 1 << i
         return FocalSet(bits, self.size)
+
+    def coarsen(self, z: int) -> int:
+        """The atom mask of ``z``, a union of atoms on the labels."""
+        out = covered = 0
+        for j, a in enumerate(self.atoms):
+            if a & z:
+                out |= 1 << j
+                covered |= a
+        if covered != z:
+            raise ValueError("set is not a union of the frame's atoms")
+        return out
+
+    def refine(self, table: Table) -> Table:
+        """``table`` keyed by the masks on the labels, in its own order.
+
+        Each atom mask is cut into chunks of equal width, and each chunk is
+        looked up in a table of the unions of its atoms. A table has
+        2**width entries, so the width grows with the number of masks, from
+        6 up to 16.
+        """
+        chunks = -(-self.size // min(16, max(6, len(table).bit_length())))
+        width = -(-self.size // chunks)
+        chunk = (1 << width) - 1
+        for shift in range(0, self.size, width):
+            unions = [0]
+            for a in self.atoms[shift:shift + width]:
+                unions += [u | a for u in unions]
+            if not shift:
+                fine = [unions[z & chunk] for z in table]
+            else:
+                fine = [f | unions[z >> shift & chunk] for f, z in zip(fine, table)]
+        return dict(zip(fine, table.values()))
+
+
+class _Cards(dict):
+    """The size in labels of each atom mask, computed on first read."""
+
+    __slots__ = ("sizes",)
+
+    def __init__(self, sizes: Iterable[int]) -> None:
+        self.sizes = tuple(sizes)
+
+    def __missing__(self, z: int) -> int:
+        card = self[z] = sum(self.sizes[i] for i in _indices(z))
+        return card
 
 
 make_frame = Frame  # the constructor under its function-style name, which the demos use
@@ -170,10 +242,11 @@ def _indices(bits: int) -> Iterator[int]:
 
 
 class FocalSet(_Record):
-    """A subset of a frame, stored as an arbitrary-width bit vector.
+    """A set of a frame's atoms, stored as an arbitrary-width bit vector.
 
     ``bits`` is a plain Python int, so frames wider than a machine word
-    (e.g. 135 hypotheses) need no special handling.
+    (e.g. 135 hypotheses) need no special handling. ``cardinality`` counts
+    atoms, and ``frame.card(bits)`` labels.
     """
 
     __slots__ = _fields = ("bits", "width")
@@ -202,9 +275,10 @@ class FocalSet(_Record):
         return _indices(self.bits)
 
     def members(self, frame: Frame) -> tuple[str, ...]:
+        """The labels of the set's atoms, in frame order."""
         if frame.size != self.width:
             raise FrameMismatchError("focal set does not belong to this frame")
-        return tuple(frame.labels[i] for i in self.indices())
+        return tuple(frame.labels[i] for i in _indices(sum(frame.atoms[j] for j in self.indices())))
 
     def label(self, frame: Frame) -> str:
         """Human-readable form, e.g. ``A∪B`` or ``∅``."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import MassFunction, _indices
+from .core import FocalSet, MassFunction, _indices
 
 __all__ = ["PignisticDistribution", "Decision", "betp", "decide", "TIE_TOL"]
 
@@ -13,12 +13,12 @@ TIE_TOL = 1e-12
 
 
 class PignisticDistribution(namedtuple("PignisticDistribution", "frame probs")):
-    """Probabilities ``probs`` per atom of ``frame``; ``prob`` reads a fine label's."""
+    """Probabilities ``probs`` per atom of ``frame``; ``prob`` reads a label's, its atom's."""
 
     __slots__ = ()
 
     def prob(self, label: str) -> float:
-        return self.probs[self.frame.atom(label)]
+        return self.probs[self.frame.index(label)]
 
 
 # The chosen frame index, its probability, and whether other singletons tie with it.
@@ -31,7 +31,7 @@ Decision = namedtuple("Decision", "index probability tie")
 # misses), cross at 338-385 members on 20 labels and 343-353 on 135: reading
 # member indices from ``_members``, the loop's cost per member (52-94 ns) no
 # longer grows with the frame's width, so one budget serves every width.
-# 320 sits just below both crossings. On a coarsening a member is an atom:
+# 320 sits just below both crossings. On a coarse frame a member is an atom:
 # over the coarse states of the same folds, the paths cross near 320 atom visits.
 _BETP_LOOP_MEMBERS = 320
 
@@ -46,16 +46,16 @@ def betp(m: MassFunction) -> PignisticDistribution:
     Only defined for closed-world bbas; mass on ∅ has no pignistic home.
 
     The sums are kept per atom of ``m.frame``: a label on a plain frame, and
-    on a ``Coarsening`` (as in ``scenario.fold``) a block of labels that every
+    on a coarsening (as in ``scenario.fold``) a block of labels that every
     focal set holds whole or not at all, all of which get the atom's sum.
     Both paths add each share ``mass / |A|``, with ``|A|`` counted in labels
     (``m.frame.card``), to A's atoms in storage order: the additions of
     ``probs[i] += share``, so they give the same bits, those of each of the
-    atom's labels on the fine frame. The loop's member visits, Σ over the
-    focal sets of their atoms, pick the path: up to ``_BETP_LOOP_MEMBERS`` a
-    plain loop, above it numpy, which is imported only then, so ``betp`` on
-    a small bba never loads numpy. The loop's ``_members`` cache spares a bit
-    scan and changes no addition.
+    atom's labels on the plain frame of the same labels. The loop's member
+    visits, Σ over the focal sets of their atoms, pick the path: up to
+    ``_BETP_LOOP_MEMBERS`` a plain loop, above it numpy, which is imported
+    only then, so ``betp`` on a small bba never loads numpy. The loop's
+    ``_members`` cache spares a bit scan and changes no addition.
 
     The numpy path places each share on its members by an integer select:
     the 0/1 ``uint8`` member flag times the share's int64 bits is ``+0.0``
@@ -121,12 +121,12 @@ def _betp_numpy(table: dict[int, float], atoms: tuple[int, ...]) -> tuple[float,
 def decide(p: PignisticDistribution) -> Decision:
     """Pick the most probable singleton; ties (within TIE_TOL of the max)
     resolve to the lowest frame index with the tie flag set. Raises
-    ValueError naming the first nan label, or the label of an inf maximum,
-    which no label can be within TIE_TOL of.
+    ValueError naming the labels of the first nan atom, or of an inf
+    maximum, which no atom can be within TIE_TOL of.
 
     ``probs`` holds one probability per atom of ``p.frame``, which every
     label of the atom shares. So the tied labels are those of the tied
-    atoms: the index is the lowest of them, a label of the fine frame, and
+    atoms: the index is the lowest of them, in ``p.frame.labels``, and
     ``tie`` says whether there is more than one, within one atom or across
     atoms. On a plain frame each atom is one label."""
     probs = p.probs
@@ -136,7 +136,8 @@ def decide(p: PignisticDistribution) -> Decision:
         best = next((v for v in probs if v != v), best)  # ``index`` finds it by identity
     tied = [i for i, v in enumerate(probs) if best - v <= TIE_TOL]
     if not tied:
-        raise ValueError(f"no decision: BetP({p.frame.labels[probs.index(best)]}) is {best!r}")
+        atom = FocalSet(1 << probs.index(best), p.frame.size)
+        raise ValueError(f"no decision: BetP({atom.label(p.frame)}) is {best!r}")
     atoms = p.frame.atoms
     # The tied atom that holds the lowest label: atoms are disjoint, so their lowest bits order them.
     first = tied[0] if len(tied) == 1 else min(tied, key=lambda i: atoms[i] & -atoms[i])

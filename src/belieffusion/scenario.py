@@ -19,7 +19,6 @@ import itertools
 import json
 import typing
 from collections import namedtuple
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Optional
@@ -28,13 +27,12 @@ import numpy as np
 
 # conflict is unused here but stays bound: tracing tools patch it by name.
 from .core import FocalSet, Frame, MassFunction, conflict, vacuous  # noqa: F401
-from .core import FrameMismatchError, Table, _indices, _mass, _number
+from .core import FrameMismatchError, _mass, _number
 from .core import ScenarioError  # lives in core so the CLI can map it without this module
 from .decision import betp, decide
 from .rules import RULES, DegenerateError, _step
 
 __all__ = [
-    "Coarsening",
     "ScenarioError",
     "ScenarioConfig",
     "PlatformDatabase",
@@ -253,98 +251,24 @@ FocalSet)`` reports, a ``TrajectoryRecord`` per completed step, the step of a to
 (``failed_at``, an int or None) and the last fused ``MassFunction`` (``final_state``)."""
 
 
-def draw(config: ScenarioConfig) -> tuple[PlatformDatabase, tuple, Coarsening, dict]:
+def draw(config: ScenarioConfig) -> tuple[PlatformDatabase, tuple, Frame, dict]:
     """The config's database, its ``(emitter, FocalSet)`` reports, the
-    ``Coarsening`` of the frame that the distinct report sets induce, and each
-    reported emitter's report bba on it, one per distinct report set, shared
-    by the emitters with those owners. Nothing here reads ``config.rule``, so
-    every rule can fold the same draw. Every set a fold makes is a union of
-    the atoms: 3-4 on 20 targets and 6-27 on 135, over the seeds of
-    perfbench's two sweeps; a stream without reports has one atom."""
+    coarsening of the database's frame that the distinct report sets induce
+    (a ``Frame`` of the same labels, with the coarsest atoms of which every
+    report set is a union), and each reported emitter's report bba on it, one
+    per distinct report set, shared by the emitters with those owners.
+    Nothing here reads ``config.rule``, so every rule can fold the same draw.
+    Every set a fold makes is a union of the atoms: 3-4 on 20 targets and
+    6-27 on 135, over the seeds of perfbench's two sweeps; a stream without
+    reports has one atom."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     pdb = build_pdb(config, rng)
     reports = tuple(gen_report(pdb, config, rng) for _ in range(config.n_reports))
     sets = {s.bits for _, s in reports}
-    frame = Coarsening(pdb.frame, sets)
+    frame = Frame(pdb.frame.labels, sets)
     made = {z: report_bba(FocalSet(frame.coarsen(z), frame.size), frame, config.report_mass)
             for z in sets}
     return pdb, reports, frame, {e: made[s.bits] for e, s in reports}
-
-
-class Coarsening(Frame):
-    """The coarsest partition of the frame ``fine`` of which every mask in
-    ``sets`` is a union, as a frame whose labels are its atoms (Shafer 1976,
-    ch. 6). ``atoms`` holds each atom's mask on ``fine``, ordered by the
-    atom's highest label, and ``card`` of an atom mask is its size in labels.
-    An atom's label, such as ``t03∪t17``, is built only when read.
-
-    With that order the map from the unions of atoms to atom masks (``coarsen``,
-    inverted by ``refine``) keeps ∩, ∪, ∅, Θ and integer ``<``: the highest
-    label where two unions differ lies in the highest atom where they differ.
-    So a pair pass, a sort or a left-to-right sum over atom masks visits its
-    entries in the order it would over the unions themselves.
-    """
-
-    __slots__ = ("fine", "card")
-    _fields = ("fine", "atoms")
-
-    def __init__(self, fine: Frame, sets: Iterable[int]) -> None:
-        atoms = [(1 << fine.size) - 1]
-        for s in set(sets):
-            atoms = [part for a in atoms for part in (a & s, a & ~s) if part]
-        atoms.sort()  # disjoint masks sort by their highest label
-        for name, value in (("size", len(atoms)), ("atoms", tuple(atoms)), ("fine", fine),
-                            ("card", _Cards(a.bit_count() for a in atoms).__getitem__)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple("∪".join(self.fine.labels[i] for i in _indices(a)) for a in self.atoms)
-
-    def coarsen(self, z: int) -> int:
-        """The atom mask of ``z``, a union of atoms on the fine frame."""
-        out = covered = 0
-        for j, a in enumerate(self.atoms):
-            if a & z:
-                out |= 1 << j
-                covered |= a
-        if covered != z:
-            raise ValueError("set is not a union of the coarsening's atoms")
-        return out
-
-    def refine(self, table: Table) -> Table:
-        """``table`` keyed by the fine frame's masks, in its own order.
-
-        Each atom mask is cut into chunks of equal width, and each chunk is
-        looked up in a table of the unions of its atoms. A table has
-        2**width entries, so the width grows with the number of masks, from
-        6 up to 16.
-        """
-        chunks = -(-self.size // min(16, max(6, len(table).bit_length())))
-        width = -(-self.size // chunks)
-        chunk = (1 << width) - 1
-        for shift in range(0, self.size, width):
-            unions = [0]
-            for a in self.atoms[shift:shift + width]:
-                unions += [u | a for u in unions]
-            if not shift:
-                fine = [unions[z & chunk] for z in table]
-            else:
-                fine = [f | unions[z >> shift & chunk] for f, z in zip(fine, table)]
-        return dict(zip(fine, table.values()))
-
-
-class _Cards(dict):
-    """The size in labels of each atom mask, computed on first read."""
-
-    __slots__ = ("sizes",)
-
-    def __init__(self, sizes: Iterable[int]) -> None:
-        self.sizes = tuple(sizes)
-
-    def __missing__(self, z: int) -> int:
-        card = self[z] = sum(self.sizes[i] for i in _indices(z))
-        return card
 
 
 def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
@@ -355,9 +279,9 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
     that differs from ``config`` at most in ``rule``.
 
     The steps, ``betp`` and ``decide`` run on the draw's coarsening, and
-    only the final state is mapped back to the frame. The atoms' order keeps
-    every insertion, sort and sum of a step, so the records and the final
-    state have the bits of a fold on the frame itself.
+    only the final state is refined onto ``pdb.frame``. The atoms' order
+    keeps every insertion, sort and sum of a step, so the records and the
+    final state have the bits of a fold on ``pdb.frame`` itself.
 
     A rule that cannot fuse (``DegenerateError``, ``TotalConflictError``
     included) ends the trajectory at that step, reported through ``failed_at``
@@ -365,7 +289,7 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
     """
     pdb, reports, frame, bbas = drawn
     # The atoms of the truth and of the similar target, whose BetP the records hold.
-    truth, similar = (None if t is None else frame.atom(pdb.frame.labels[t])
+    truth, similar = (None if t is None else frame.index(pdb.frame.labels[t])
                       for t in (config.truth_index, config.similar_target))
     state = vacuous(frame)
     records: list[TrajectoryRecord] = []

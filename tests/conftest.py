@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from belieffusion import Coarsening, FocalSet, Frame, MassFunction, make_frame
+from belieffusion import FocalSet, Frame, MassFunction, make_frame
 
 
 def bba(frame: Frame, masses: dict[str, float], open_world: bool = False) -> MassFunction:
@@ -71,14 +71,14 @@ def random_bba(
     )
 
 
-def random_coarsening(rng: random.Random, n_labels: int, n_atoms: int) -> Coarsening:
-    """A coarsening of labels ``h0``, ``h1``, … into ``n_atoms`` atoms: the
-    labels in a shuffled order, cut at ``n_atoms - 1`` random places."""
+def random_coarsening(rng: random.Random, n_labels: int, n_atoms: int) -> Frame:
+    """A frame of labels ``h0``, ``h1``, … in ``n_atoms`` atoms: the labels
+    in a shuffled order, cut at ``n_atoms - 1`` random places."""
     labels = list(range(n_labels))
     rng.shuffle(labels)
     cuts = sorted(rng.sample(range(1, n_labels), n_atoms - 1))
     atoms = [sum(1 << i for i in labels[a:b]) for a, b in zip([0, *cuts], [*cuts, n_labels])]
-    return Coarsening(make_frame([f"h{i}" for i in range(n_labels)]), atoms)
+    return Frame([f"h{i}" for i in range(n_labels)], atoms)
 
 
 def _mass_table(m: MassFunction) -> list[float]:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belieffusion import (
-    Coarsening,
     FocalSet,
+    Frame,
     MassFunction,
     PignisticDistribution,
     ScenarioConfig,
@@ -308,12 +308,12 @@ def test_betp_sums_to_one(data):
     assert sum(betp(m).probs) == pytest.approx(1.0, abs=1e-9)
 
 
-# A bba on a coarsening against the same bba on its fine frame.
+# A bba on a coarse frame against the same bba on the plain frame of its labels.
 
 
 def coarse_and_fine(seed, n_labels, n_atoms, n_sets, poison=None):
-    """A bba on a random coarsening of ``n_labels`` labels into ``n_atoms``
-    atoms, and the same bba on the fine frame (``refine`` of its table). With
+    """A bba on a random frame of ``n_labels`` labels in ``n_atoms`` atoms,
+    and the same bba on the plain frame of its labels (``refine`` of its table). With
     ``poison``, one mass in the middle of storage order is that value."""
     rng = random.Random(seed)
     c = random_coarsening(rng, n_labels, n_atoms)
@@ -325,15 +325,16 @@ def coarse_and_fine(seed, n_labels, n_atoms, n_sets, poison=None):
     if poison is not None:
         table[list(table)[len(table) // 2]] = poison
     coarse = MassFunction(c, {FocalSet(z, c.size): v for z, v in table.items()})
-    return coarse, MassFunction(c.fine, {FocalSet(z, n_labels): v
-                                         for z, v in c.refine(table).items()})
+    return coarse, MassFunction(Frame(c.labels), {FocalSet(z, n_labels): v
+                                                  for z, v in c.refine(table).items()})
 
 
 def per_label(p):
-    """A coarse distribution's probabilities spread back over the fine labels."""
-    probs = [None] * p.frame.fine.size
+    """A coarse distribution's probabilities spread back over its labels."""
+    n = len(p.frame.labels)
+    probs = [None] * n
     for atom, v in zip(p.frame.atoms, p.probs):
-        for i in FocalSet(atom, p.frame.fine.size).indices():
+        for i in FocalSet(atom, n).indices():
             probs[i] = v
     return tuple(probs)
 
@@ -387,8 +388,8 @@ class TestPerAtom:
         assert same_bits([p.prob(label) for label in labels], [q.prob(label) for label in labels])
 
     def test_prob_takes_fine_labels_not_atom_labels(self):
-        p = betp(vacuous(Coarsening(make_frame("abc"), [0b011])))
-        assert p.frame.labels == ("a∪b", "c") and p.probs == (1 / 3, 1 / 3)
+        p = betp(vacuous(Frame("abc", [0b011])))
+        assert p.frame.atoms == (0b011, 0b100) and p.probs == (1 / 3, 1 / 3)
         assert [p.prob(label) for label in "abc"] == [1 / 3] * 3
         with pytest.raises(KeyError, match="a∪b"):
             p.prob("a∪b")
@@ -400,7 +401,7 @@ class TestDecidePerAtom:
 
     # Atoms by highest label: {h1, h2}, {h0, h3}, {h4}.
     FINE = make_frame(["h0", "h1", "h2", "h3", "h4"])
-    COARSE = Coarsening(FINE, [0b00110, 0b10000])
+    COARSE = Frame(FINE.labels, [0b00110, 0b10000])
 
     @pytest.mark.parametrize("probs, index, tie", [
         ((0.1, 0.1, 0.6), 4, False),  # one atom of one label

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from belieffusion import (
     DegenerateError,
+    Frame,
     MassFunction,
     ScenarioConfig,
     TotalConflictError,
@@ -16,7 +18,7 @@ from belieffusion import (
     make_frame,
     validate,
 )
-from belieffusion import cli
+from belieffusion import cli, core
 from belieffusion.cli import main
 from belieffusion.decision import _BETP_LOOP_MEMBERS
 from belieffusion.massio import (
@@ -27,7 +29,7 @@ from belieffusion.massio import (
     write_mass,
 )
 
-from conftest import EX1, FRAME_AB, SKEWED, ZADEH, bba, labelled, random_bba
+from conftest import EX1, FRAME_AB, SKEWED, ZADEH, bba, labelled, random_bba, random_coarsening
 
 FRAME_CBA = make_frame(["C", "B", "A"])  # not in sorted order, so frame order shows
 
@@ -47,6 +49,20 @@ class TestMassFormat:
             path = tmp_path / f"m{i}.json"
             write_mass(str(path), m)
             assert read_mass(str(path)).entries == m.entries
+
+    def test_round_trip_from_a_coarse_frame(self, tmp_path):
+        # The file holds the frame's labels; reading it gives the bba on the
+        # plain frame of those labels, with the table ``refine`` gives.
+        rng = random.Random(5)
+        for i in range(25):
+            n = rng.randint(1, 12)
+            c = random_coarsening(rng, n, rng.randint(1, n))
+            table = {rng.getrandbits(c.size) or 1: rng.random() for _ in range(4)}
+            m = core._mass(c, {z: v / sum(table.values()) for z, v in table.items()})
+            path = tmp_path / f"m{i}.json"
+            write_mass(str(path), m)
+            again = read_mass(str(path))
+            assert again.frame == Frame(c.labels) and again._table == c.refine(m._table)
 
     def test_open_world_round_trip(self):
         m = conjunctive(*EX1)
@@ -391,12 +407,13 @@ class TestCli:
         config = {"n_targets": 8, "n_emitters": 16, "emitters_per_target": [2, 4],
                   "truth_index": 2, "similar_target": 3, "n_reports": 25, "seed": 7}
         reports = scenario.draw(scenario.ScenarioConfig(**config))[1]
-        calls = {"build_pdb": 0, "report_bba": 0, "Coarsening": 0}
+        calls = {"build_pdb": 0, "report_bba": 0, "Frame": 0}
         for name in calls:
             original = getattr(scenario, name)
 
             def counting(*args, _name=name, _original=original):
-                calls[_name] += 1
+                # Frame counts the coarse frames, built from labels and sets.
+                calls[_name] += _name != "Frame" or len(args) == 2
                 return _original(*args)
 
             monkeypatch.setattr(scenario, name, counting)
@@ -413,7 +430,7 @@ class TestCli:
         assert all(column == emitters["pcr"] for column in emitters.values())
         assert emitters["pcr"] == [str(e) for e, _ in reports]
         assert calls == {"build_pdb": 1, "report_bba": len({s for _, s in reports}),
-                         "Coarsening": 1}
+                         "Frame": 1}
         assert len({s for _, s in reports}) < len(set(emitters["pcr"])) < 25
 
     def test_scenario_sweep_writes_what_each_rule_writes_alone(self, tmp_path):
@@ -660,9 +677,9 @@ PACKAGE_NAMES = {
               "TotalConflictError", "acr_generic", "acr_inagaki_weights", "alpha0", "beta0",
               "dempster", "dsmh", "dubois_prade", "inagaki_extreme", "inagaki_generic", "pcr",
               "pcr_shares", "sacr", "smets", "yager"],
-    "scenario": ["Coarsening", "PlatformDatabase", "ScenarioConfig", "ScenarioError",
-                 "ScenarioResult", "TrajectoryRecord", "build_pdb", "gen_report", "report_bba",
-                 "draw", "fold", "run_scenario"],
+    "scenario": ["PlatformDatabase", "ScenarioConfig", "ScenarioError", "ScenarioResult",
+                 "TrajectoryRecord", "build_pdb", "gen_report", "report_bba", "draw", "fold",
+                 "run_scenario"],
 }
 
 

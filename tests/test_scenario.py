@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belieffusion import (
-    Coarsening,
     DegenerateError,
     FocalSet,
+    Frame,
     FrameMismatchError,
+    PignisticDistribution,
     ScenarioConfig,
     ScenarioError,
     betp,
@@ -298,11 +299,11 @@ class TestDrawReportSets:
                                 for e, _ in reports)
 
     def test_report_bbas_sit_on_the_draws_coarsening(self):
-        # Every bba is on the draw's own coarsening object, one per report set,
+        # Every bba is on the draw's own coarse frame object, one per report set,
         # and refines to the report bba of that set on the frame, in its order.
         cfg = make_config(n_reports=40)
         pdb, reports, frame, bbas = draw(cfg)
-        assert isinstance(frame, Coarsening) and frame.fine is pdb.frame
+        assert frame.labels == pdb.frame.labels and frame.size < pdb.frame.size
         assert all(m.frame is frame for m in bbas.values())
         by_set = {}
         for emitter, report_set in reports:
@@ -653,11 +654,11 @@ def union_of(atoms, x):
 
 
 def assert_coarsening(fine, sets):
-    c = Coarsening(fine, sets)
+    c = Frame(fine.labels, sets)
     full = (1 << fine.size) - 1
     assert all(c.atoms) and sum(c.atoms) == full  # disjoint, non-empty and covering
     assert list(c.atoms) == sorted(c.atoms, key=int.bit_length)  # by highest label
-    assert (c.size, c.fine) == (len(c.atoms), fine)
+    assert (c.size, c.labels) == (len(c.atoms), fine.labels)
     for s in set(sets):
         assert union_of(c.atoms, c.coarsen(s)) == s  # every set is a union of atoms
     # Every union when there are few atoms, else ∅, Θ and 24 random ones.
@@ -697,7 +698,7 @@ class TestCoarsening:
         fine = make_frame("ABCD")
         c = assert_coarsening(fine, [0b0110])
         assert c.atoms == (0b0110, 0b1001)
-        assert c.labels == ("B∪C", "A∪D")
+        assert [FocalSet(1 << j, 2).label(c) for j in range(2)] == ["B∪C", "A∪D"]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 40).flatmap(
@@ -721,32 +722,67 @@ class TestCoarsening:
         assert list(refined) == [union_of(c.atoms, x) for x in table]
 
     def test_set_that_is_not_a_union_rejected(self):
-        c = Coarsening(make_frame("ABCD"), [0b0011])
+        c = Frame("ABCD", [0b0011])
         with pytest.raises(ValueError, match="not a union"):
             c.coarsen(0b0001)
 
     def test_record_behaviour(self):
         fine = make_frame("ABCD")
-        c = Coarsening(fine, [0b0011, 0b0110])
-        assert c == Coarsening(fine, [0b0110, 0b0011, 0b0110]) != fine
-        assert hash(c) == hash(Coarsening(fine, c.atoms))
-        assert pickle.loads(pickle.dumps(c)) == c
-        assert repr(c) == f"Coarsening(fine={fine!r}, atoms=(1, 2, 4, 8))"
-        m = core._mass(c, {0b0110: 0.5, 0b1111: 0.5})
+        singletons = Frame(fine.labels, [0b0011, 0b0110])  # its atoms are the labels
+        assert singletons == fine == Frame(fine.labels, [0b0110, 0b0011, 0b0110])
+        assert hash(singletons) == hash(fine)
+        assert repr(singletons) == repr(fine) == "Frame(labels=('A', 'B', 'C', 'D'))"
+        c = Frame(fine.labels, [0b0110])
+        assert c != fine and hash(c) == hash(Frame(fine.labels, c.atoms))
+        assert repr(c) == "Frame(labels=('A', 'B', 'C', 'D'), atoms=(6, 9))"
+        for frame in (singletons, c):
+            again = pickle.loads(pickle.dumps(frame))
+            assert again == frame and again.card(0b11) == frame.card(0b11)
+        m = core._mass(c, {0b01: 0.5, 0b11: 0.5})
         assert validate(m).ok and pickle.loads(pickle.dumps(m)) == m
-        assert FocalSet(0b0110, 4).label(c) == "B∪C"
+        assert FocalSet(0b01, 2).label(c) == "B∪C"
 
     def test_plain_frame_is_its_own_finest_coarsening(self):
         fine = make_frame("ABCD")
-        assert fine.atoms == Coarsening(fine, [1, 2, 4]).atoms == (1, 2, 4, 8)
+        assert fine.atoms == Frame(fine.labels, [1, 2, 4]).atoms == (1, 2, 4, 8)
         assert fine.card(0b1011) == 3
+        assert Frame(fine.labels, ()).atoms == (0b1111,)
 
-    def test_atom_of_a_fine_label(self):
-        fine = make_frame("ABCD")
-        c = Coarsening(fine, [0b0110])
-        assert c.atoms == (0b0110, 0b1001) and c.fine is fine.fine is fine
-        assert [c.atom(label) for label in "ABCD"] == [1, 0, 0, 1]
-        assert [fine.atom(label) for label in "ABCD"] == [0, 1, 2, 3]
-        for fr in (fine, c):
-            with pytest.raises(KeyError, match="label not in frame"):
-                fr.atom("B∪C")
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 12), st.data())
+    def test_labels_agree_with_the_plain_frame(self, seed, n_labels, data):
+        # index, subset, members and prob take and give the frame's labels on
+        # a coarse frame as on the plain frame of the same labels; labels
+        # that split an atom are not a set of the coarse frame.
+        rng = random.Random(seed)
+        c = random_coarsening(rng, n_labels, data.draw(st.integers(1, n_labels)))
+        plain = make_frame([f"h{i}" for i in range(n_labels)])
+        table = {rng.getrandbits(c.size) or 1: rng.random() for _ in range(3)}
+        table = {z: v / sum(table.values()) for z, v in table.items()}
+        p, q = betp(core._mass(c, table)), betp(core._mass(plain, c.refine(table)))
+        for label in plain.labels:
+            j = c.index(label)
+            atom = FocalSet(c.atoms[j], n_labels).members(plain)
+            assert label in atom and FocalSet(1 << j, c.size).members(c) == atom
+            assert c.subset(atom) == FocalSet(1 << j, c.size)
+            assert c.refine({c.subset(atom).bits: 1.0}) == {plain.subset(atom).bits: 1.0}
+            assert p.prob(label) == q.prob(label) == p.probs[j]
+            if len(atom) > 1:
+                with pytest.raises(ValueError, match="not a union"):
+                    c.subset([label])
+                with pytest.raises(KeyError, match="label not in frame"):
+                    c.index("∪".join(atom))
+        assert c.labels == plain.labels
+
+    def test_labels_in_frame_order(self):
+        # A set on the atoms {B, C} and {A, D} lists its labels in frame order,
+        # and so do the messages that name it.
+        c = Frame("ABCD", [0b0110])
+        assert FocalSet(0b11, 2).label(c) == "A∪B∪C∪D"
+        assert FocalSet(0b10, 2).members(c) == ("A", "D")
+        m = core._mass(c, {0b10: 1.5, 0b11: -0.5})
+        assert validate(m).violations == ("negative mass -0.5 on A∪B∪C∪D",)
+        with pytest.raises(TypeError, match="mass on A∪B∪C∪D must be a number"):
+            core.MassFunction(c, {c.full_set(): "1"})
+        with pytest.raises(ValueError, match=r"no decision: BetP\(A∪D\) is nan"):
+            decide(PignisticDistribution(c, (0.5, math.nan)))
