@@ -10,8 +10,8 @@ Subcommands::
     belieffusion rules
 
 Exit codes: 0 success, 2 bad command line (unknown option or choice, missing
-argument) or parse/validation/config failure (an unknown key in a bba file or
-config included; a config is checked when built, so ``scenario`` checks every
+argument) or parse/validation/config failure (an open-world bba and an unknown
+key included; a config is checked when built, so ``scenario`` checks every
 run, ``smets`` and an empty or repeated ``--rules`` entry included, before it
 writes anything), 3 frame mismatch, 4 a ``combine`` rule that cannot fuse
 (total conflict or degenerate combination), 5 I/O error. Each failure prints
@@ -69,7 +69,7 @@ def _load_closed_world(path: str) -> MassFunction:
     if not report.ok:
         raise MassFormatError(f"{path}: " + "; ".join(report.violations))
     if m.open_world:
-        raise MassFormatError(f"{path}: combination inputs must be closed-world")
+        raise MassFormatError(f"{path}: expected a closed-world bba")
     return m
 
 

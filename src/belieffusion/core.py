@@ -107,7 +107,7 @@ class Frame(_Record):
     of which every mask in ``sets`` is a union (Shafer 1976, ch. 6). A focal
     set is a set of atoms, but every method takes and returns labels.
     ``atoms`` holds each atom's mask on the labels, ordered by highest label,
-    and ``card`` of a set of atoms is its size in labels.
+    and ``card`` of a set of atoms is its size in labels, kept in ``_memo``.
 
     With that order the map from the unions of atoms to atom masks (``coarsen``,
     inverted by ``refine``) keeps ∩, ∪, ∅, Θ and integer ``<``: the highest
@@ -116,7 +116,7 @@ class Frame(_Record):
     entries in the order it would over the unions themselves.
     """
 
-    __slots__ = ("labels", "size", "atoms", "card")
+    __slots__ = ("labels", "size", "atoms", "_memo")
     _fields = ("labels", "atoms")
 
     def __init__(self, labels: Iterable[str], sets: Iterable[int] | None = None) -> None:
@@ -135,12 +135,12 @@ class Frame(_Record):
         else:
             atoms = [(1 << len(labels)) - 1]
             for s in set(sets):
+                if not 0 <= s < 1 << len(labels):
+                    raise ValueError(f"mask {s!r} is not a set of the frame's labels")
                 atoms = [part for a in atoms for part in (a & s, a & ~s) if part]
             atoms.sort()  # disjoint masks sort by their highest label
-        card = (int.bit_count if len(atoms) == len(labels)
-                else _Cards(a.bit_count() for a in atoms).__getitem__)
         for name, value in (("labels", labels), ("size", len(atoms)), ("atoms", tuple(atoms)),
-                            ("card", card)):
+                            ("_memo", _Memo(a.bit_count() for a in atoms))):
             object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
@@ -159,6 +159,9 @@ class Frame(_Record):
             except ValueError:
                 raise KeyError(f"label not in frame: {label!r}") from None
         return bits
+
+    def card(self, z: int) -> int:
+        return self._memo[z][0]
 
     def index(self, label: str) -> int:
         """The index of the atom that holds ``label``."""
@@ -217,17 +220,17 @@ class Frame(_Record):
         return dict(zip(fine, table.values()))
 
 
-class _Cards(dict):
-    """The size in labels of each atom mask, computed on first read."""
+class _Memo(dict):
+    """The size in labels and the atom indices of each atom mask, computed on first read."""
 
     __slots__ = ("sizes",)
 
     def __init__(self, sizes: Iterable[int]) -> None:
         self.sizes = tuple(sizes)
 
-    def __missing__(self, z: int) -> int:
-        card = self[z] = sum(self.sizes[i] for i in _indices(z))
-        return card
+    def __missing__(self, z: int) -> tuple[int, tuple[int, ...]]:
+        members = tuple(_indices(z))
+        return self.setdefault(z, (sum(self.sizes[i] for i in members), members))
 
 
 make_frame = Frame  # the constructor under its function-style name, which the demos use

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
-from .core import FocalSet, MassFunction, _indices
+from .core import FocalSet, MassFunction
 
 __all__ = ["PignisticDistribution", "Decision", "betp", "decide", "TIE_TOL"]
 
@@ -27,12 +26,13 @@ Decision = namedtuple("Decision", "index probability tie")
 
 # The most member visits, Σ|A| over the focal sets, for which ``betp`` runs
 # its plain loop. Least-squares fits of both paths per call, over the states
-# of desk and wide-union folds taken in fold order (so with the cache's real
-# misses), cross at 338-385 members on 20 labels and 343-353 on 135: reading
-# member indices from ``_members``, the loop's cost per member (52-94 ns) no
-# longer grows with the frame's width, so one budget serves every width.
-# 320 sits just below both crossings. On a coarse frame a member is an atom:
-# over the coarse states of the same folds, the paths cross near 320 atom visits.
+# of desk and wide-union folds taken in fold order, with a process-wide
+# member cache's real misses (not refitted for the frame's memo), cross at
+# 338-385 members on 20 labels and 343-353 on 135: with memoized member
+# indices the loop's cost per member (52-94 ns) does not grow with the
+# frame's width, so one budget serves every width. 320 sits just below both
+# crossings. On a coarse frame a member is an atom: over the coarse states of
+# the same folds, the paths cross near 320 atom visits.
 _BETP_LOOP_MEMBERS = 320
 
 # Rows of the member matrix expanded at once; bounds the int64 select block
@@ -54,8 +54,8 @@ def betp(m: MassFunction) -> PignisticDistribution:
     atom's labels on the plain frame of the same labels. The loop's member
     visits, Σ over the focal sets of their atoms, pick the path: up to
     ``_BETP_LOOP_MEMBERS`` a plain loop, above it numpy, which is imported
-    only then, so ``betp`` on a small bba never loads numpy. The loop's
-    ``_members`` cache spares a bit scan and changes no addition.
+    only then, so ``betp`` on a small bba never loads numpy. Both read sizes
+    from the frame's memo, the loop atom indices too; it changes no addition.
 
     The numpy path places each share on its members by an integer select:
     the 0/1 ``uint8`` member flag times the share's int64 bits is ``+0.0``
@@ -75,43 +75,37 @@ def betp(m: MassFunction) -> PignisticDistribution:
         raise ValueError("closed-world bba carries mass on ∅, which has no pignistic home")
     # len(table) ≤ Σ|A| ≤ len(table) × |Θ|, so either bound settles most
     # calls without counting: a small or a large bba pays no Σ|A| pass.
-    n, card = m.frame.size, m.frame.card
+    n, memo = m.frame.size, m.frame._memo
     if len(table) * n > _BETP_LOOP_MEMBERS and (
         len(table) > _BETP_LOOP_MEMBERS or sum(map(int.bit_count, table)) > _BETP_LOOP_MEMBERS
     ):
-        return PignisticDistribution(m.frame, _betp_numpy(table, m.frame.atoms))
+        return PignisticDistribution(m.frame, _betp_numpy(table, memo.sizes))
     probs = [0.0] * n
     for z, v in table.items():
-        share = v / card(z)
-        for i in _members(z):
+        card, members = memo[z]  # a fold meets the same sets step after step, so most reads hit
+        share = v / card
+        for i in members:
             probs[i] += share
     return PignisticDistribution(m.frame, tuple(probs))
 
 
-# A fold meets the same sets step after step, so most calls hit.
-@lru_cache(maxsize=1024)
-def _members(z: int) -> tuple[int, ...]:
-    """The member indices of the set ``z``, in ascending order."""
-    return tuple(_indices(z))
-
-
-def _betp_numpy(table: dict[int, float], atoms: tuple[int, ...]) -> tuple[float, ...]:
+def _betp_numpy(table: dict[int, float], sizes: tuple[int, ...]) -> tuple[float, ...]:
     """``betp``'s sums for a bba above the loop's member budget."""
     import numpy as np
 
-    n = len(atoms)
+    n = len(sizes)
     nbytes = (n + 7) // 8
     packed = np.frombuffer(
         b"".join(z.to_bytes(nbytes, "little") for z in table), dtype=np.uint8
     ).reshape(len(table), nbytes)
     masses = np.fromiter(table.values(), np.float64, len(table))
     # Labels per atom, as floats: a set's size is a sum of whole numbers, so exact.
-    sizes = np.array([a.bit_count() for a in atoms], dtype=np.float64)
+    labels = np.array(sizes, dtype=np.float64)
     acc = np.zeros(n)
     for start in range(0, len(masses), _BETP_BLOCK):
         block = slice(start, start + _BETP_BLOCK)
         member = np.unpackbits(packed[block], axis=1, count=n, bitorder="little")
-        shares = masses[block] / (member @ sizes)
+        shares = masses[block] / (member @ labels)
         rows = np.multiply(member, shares.view(np.int64)[:, None]).view(np.float64)
         rows[0] += acc
         acc = np.add.reduce(rows, axis=0)

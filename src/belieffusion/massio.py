@@ -80,10 +80,11 @@ def mass_from_dict(doc: object) -> MassFunction:
             fs = frame.subset(members)
         except KeyError as exc:
             raise MassFormatError(f"masses[{i}]: {exc.args[0]}") from None
+        if fs.cardinality != len(members):  # one atom per label, so a label is listed twice
+            twice = max(members, key=members.count)
+            raise MassFormatError(f"masses[{i}]: label {twice!r} listed twice")
         if fs.is_empty and not open_world:
-            raise MassFormatError(
-                f"masses[{i}]: empty set requires \"open_world\": true"
-            )
+            raise MassFormatError(f"masses[{i}]: empty set requires \"open_world\": true")
         value = item["mass"]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise MassFormatError(f"masses[{i}]: 'mass' must be a number")

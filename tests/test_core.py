@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -14,8 +15,11 @@ from belieffusion import (
     Frame,
     FrameMismatchError,
     MassFunction,
+    PignisticDistribution,
+    betp,
     conflict,
     conjunctive,
+    decide,
     disjunctive,
     make_frame,
     pcr,
@@ -35,6 +39,7 @@ from conftest import (
     disjunctive_oracle,
     labelled,
     random_bba,
+    random_coarsening,
 )
 
 
@@ -69,6 +74,11 @@ class TestFrame:
         f = make_frame(["B", "A"])
         assert f.index("B") == 0
         assert f.index("A") == 1
+
+    @pytest.mark.parametrize("mask", [-2, 0b100])
+    def test_mask_outside_the_labels_rejected(self, mask):
+        with pytest.raises(ValueError, match="not a set of the frame's labels"):
+            Frame("ab", [mask])
 
 
 class TestFocalSet:
@@ -485,3 +495,143 @@ def test_random_dense_oracle_equivalence(rng):
         m2 = random_bba(rng, frame, dense=True)
         assert_masses_close(conjunctive(m1, m2), conjunctive_oracle(m1, m2), tol=1e-12)
         assert_masses_close(disjunctive(m1, m2), disjunctive_oracle(m1, m2), tol=1e-12)
+
+
+def union_of(atoms, x):
+    """The mask on the fine frame of the atom mask ``x``: the union of its atoms."""
+    return sum(a for j, a in enumerate(atoms) if x >> j & 1)
+
+
+def assert_coarsening(fine, sets):
+    c = Frame(fine.labels, sets)
+    full = (1 << fine.size) - 1
+    assert all(c.atoms) and sum(c.atoms) == full  # disjoint, non-empty and covering
+    assert list(c.atoms) == sorted(c.atoms, key=int.bit_length)  # by highest label
+    assert (c.size, c.labels) == (len(c.atoms), fine.labels)
+    for s in set(sets):
+        assert union_of(c.atoms, c.coarsen(s)) == s  # every set is a union of atoms
+    # Every union when there are few atoms, else ∅, Θ and 24 random ones.
+    if c.size <= 6:
+        masks = range(2**c.size)
+    else:
+        rng = random.Random(c.size)
+        masks = [0, 2**c.size - 1, *(rng.getrandbits(c.size) for _ in range(24))]
+    assert (union_of(c.atoms, 0), union_of(c.atoms, 2**c.size - 1)) == (0, full)  # ∅ and Θ
+    for x in masks:
+        fx = union_of(c.atoms, x)
+        assert c.refine({x: 1.0}) == {fx: 1.0} and c.card(x) == fx.bit_count()
+        assert x == 0 or c.coarsen(fx) == x
+        for y in masks:
+            fy = union_of(c.atoms, y)
+            assert union_of(c.atoms, x & y) == fx & fy and union_of(c.atoms, x | y) == fx | fy
+            assert (x < y) == (fx < fy)
+    return c
+
+
+class TestCoarsening:
+    @pytest.mark.parametrize("n, family_size", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+    def test_every_small_family(self, n, family_size):
+        # The atoms partition Θ, every set is a union of them, and the map from
+        # unions to atom masks keeps ∩, ∪, ∅, Θ and integer <, on every family.
+        fine = make_frame("ABCD"[:n])
+        subsets = range(1, 2**n)
+        for family in itertools.combinations(subsets, family_size):
+            c = assert_coarsening(fine, family)
+            # the coarsest such partition: no two atoms lie in exactly the same sets
+            keys = [tuple(a & s != 0 for s in family) for a in c.atoms]
+            assert len(set(keys)) == len(keys)
+
+    def test_atoms_ordered_by_lowest_label_would_reorder_unions(self):
+        # {B, C} and {A, D}: by highest label {B, C} comes first, and so do
+        # its unions; by lowest label the atom masks would sort the other way.
+        fine = make_frame("ABCD")
+        c = assert_coarsening(fine, [0b0110])
+        assert c.atoms == (0b0110, 0b1001)
+        assert [FocalSet(1 << j, 2).label(c) for j in range(2)] == ["B∪C", "A∪D"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 2**n - 1), max_size=6))))
+    def test_random_families(self, data):
+        n, sets = data
+        assert_coarsening(make_frame([f"h{i}" for i in range(n)]), sets)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 2**32), st.integers(1, 3000))
+    def test_refine_keeps_every_mask_and_the_order(self, n_atoms, seed, count):
+        # Tables large enough to need several chunks, each up to 16 atoms wide.
+        rng = random.Random(seed)
+        c = random_coarsening(rng, 2 * n_atoms + 5, n_atoms)
+        assert c.size == n_atoms
+        table = {}
+        while len(table) < min(count, 2**n_atoms - 1):
+            table[rng.getrandbits(n_atoms) or 1] = rng.random()
+        refined = c.refine(table)
+        assert list(refined.values()) == list(table.values())
+        assert list(refined) == [union_of(c.atoms, x) for x in table]
+
+    def test_set_that_is_not_a_union_rejected(self):
+        c = Frame("ABCD", [0b0011])
+        with pytest.raises(ValueError, match="not a union"):
+            c.coarsen(0b0001)
+
+    def test_record_behaviour(self):
+        fine = make_frame("ABCD")
+        singletons = Frame(fine.labels, [0b0011, 0b0110])  # its atoms are the labels
+        assert singletons == fine == Frame(fine.labels, [0b0110, 0b0011, 0b0110])
+        assert hash(singletons) == hash(fine)
+        assert repr(singletons) == repr(fine) == "Frame(labels=('A', 'B', 'C', 'D'))"
+        c = Frame(fine.labels, [0b0110])
+        assert c != fine and hash(c) == hash(Frame(fine.labels, c.atoms))
+        assert repr(c) == "Frame(labels=('A', 'B', 'C', 'D'), atoms=(6, 9))"
+        for frame in (singletons, c):
+            again = pickle.loads(pickle.dumps(frame))
+            assert again == frame and again.card(0b11) == frame.card(0b11)
+        m = core._mass(c, {0b01: 0.5, 0b11: 0.5})
+        assert validate(m).ok and pickle.loads(pickle.dumps(m)) == m
+        assert FocalSet(0b01, 2).label(c) == "B∪C"
+
+    def test_plain_frame_is_its_own_finest_coarsening(self):
+        fine = make_frame("ABCD")
+        assert fine.atoms == Frame(fine.labels, [1, 2, 4]).atoms == (1, 2, 4, 8)
+        assert fine.card(0b1011) == 3
+        assert Frame(fine.labels, ()).atoms == (0b1111,)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 12), st.data())
+    def test_labels_agree_with_the_plain_frame(self, seed, n_labels, data):
+        # index, subset, members and prob take and give the frame's labels on
+        # a coarse frame as on the plain frame of the same labels; labels
+        # that split an atom are not a set of the coarse frame.
+        rng = random.Random(seed)
+        c = random_coarsening(rng, n_labels, data.draw(st.integers(1, n_labels)))
+        plain = make_frame([f"h{i}" for i in range(n_labels)])
+        table = {rng.getrandbits(c.size) or 1: rng.random() for _ in range(3)}
+        table = {z: v / sum(table.values()) for z, v in table.items()}
+        p, q = betp(core._mass(c, table)), betp(core._mass(plain, c.refine(table)))
+        for label in plain.labels:
+            j = c.index(label)
+            atom = FocalSet(c.atoms[j], n_labels).members(plain)
+            assert label in atom and FocalSet(1 << j, c.size).members(c) == atom
+            assert c.subset(atom) == FocalSet(1 << j, c.size)
+            assert c.refine({c.subset(atom).bits: 1.0}) == {plain.subset(atom).bits: 1.0}
+            assert p.prob(label) == q.prob(label) == p.probs[j]
+            if len(atom) > 1:
+                with pytest.raises(ValueError, match="not a union"):
+                    c.subset([label])
+                with pytest.raises(KeyError, match="label not in frame"):
+                    c.index("∪".join(atom))
+        assert c.labels == plain.labels
+
+    def test_labels_in_frame_order(self):
+        # A set on the atoms {B, C} and {A, D} lists its labels in frame order,
+        # and so do the messages that name it.
+        c = Frame("ABCD", [0b0110])
+        assert FocalSet(0b11, 2).label(c) == "A∪B∪C∪D"
+        assert FocalSet(0b10, 2).members(c) == ("A", "D")
+        m = core._mass(c, {0b10: 1.5, 0b11: -0.5})
+        assert validate(m).violations == ("negative mass -0.5 on A∪B∪C∪D",)
+        with pytest.raises(TypeError, match="mass on A∪B∪C∪D must be a number"):
+            core.MassFunction(c, {c.full_set(): "1"})
+        with pytest.raises(ValueError, match=r"no decision: BetP\(A∪D\) is nan"):
+            decide(PignisticDistribution(c, (0.5, math.nan)))

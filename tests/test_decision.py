@@ -1,4 +1,3 @@
-import functools
 import math
 import random
 import struct
@@ -187,11 +186,9 @@ def test_betp_paths_meet_at_the_member_budget(monkeypatch, width):
         assert len(numpy_calls) == calls
 
 
-MEMBERS_MAX = decision._members.cache_info().maxsize
-
-
 class TestMemberMemo:
-    """The loop's member cache changes no bit, cold or warm, and stays bounded."""
+    """The frame's memo changes no bit, cold or warm, and holds only the sets
+    ``betp`` has read on its frame."""
 
     @pytest.fixture(autouse=True)
     def _loop(self, monkeypatch):
@@ -200,33 +197,39 @@ class TestMemberMemo:
     @pytest.mark.parametrize("width", [20, 135])
     def test_cold_and_warm_give_reference_bits(self, width):
         m = random_wide_bba(width, 40, seed=width)
-        decision._members.cache_clear()
+        assert not m.frame._memo
         cold = betp(m).probs
-        info = decision._members.cache_info()
-        assert (info.hits, info.misses) == (0, len(m._table))
+        assert m.frame._memo.keys() == m._table.keys()
         warm = betp(m).probs
-        assert decision._members.cache_info().hits == len(m._table)
         assert cold == warm == reference_betp(m)
+        # A second frame of the same labels equals the first but keeps its own memo.
+        again = make_frame(m.frame.labels)
+        assert again == m.frame and not again._memo
 
     def test_more_sets_than_the_memo_holds(self):
-        m = random_wide_bba(135, 3 * MEMBERS_MAX // 2, seed=3)
-        assert len(m._table) > MEMBERS_MAX
+        # More sets than a bounded cache of 1,024 would hold: the frame's memo keeps every one.
+        m = random_wide_bba(135, 1536, seed=3)
+        assert len(m._table) == 1536
         assert betp(m).probs == reference_betp(m)
         assert betp(m).probs == reference_betp(m)
-        assert decision._members.cache_info().currsize <= MEMBERS_MAX
+        assert m.frame._memo.keys() == m._table.keys()
 
-    @pytest.mark.parametrize("bound", [8, MEMBERS_MAX])
-    def test_bounded_after_a_wide_sweep(self, monkeypatch, bound):
-        members = functools.lru_cache(maxsize=bound)(decision._members.__wrapped__)
-        monkeypatch.setattr(decision, "_members", members)
+    @pytest.mark.parametrize("budget", [8, 1024])
+    def test_bounded_after_a_wide_sweep(self, monkeypatch, budget):
+        # Under a small loop budget most states take the numpy path, which
+        # reads only sizes: the memo then holds no member index of the sets.
+        monkeypatch.setattr(decision, "_BETP_LOOP_MEMBERS", budget)
         for seed in range(3):
             for rule in ("dubois-prade", "sacr"):
                 config = ScenarioConfig(n_targets=135, n_emitters=200, emitters_per_target=(5, 9),
                                         truth_index=4, similar_target=5, n_reports=12,
                                         rule=rule, seed=seed)
                 result = run_scenario(config)
-                assert 0 < members.cache_info().currsize <= bound
-                assert betp(result.final_state).probs == reference_betp(result.final_state)
+                state = result.final_state
+                assert betp(state).probs == reference_betp(state)
+                assert state.frame._memo.keys() <= state._table.keys()
+                if sum(map(int.bit_count, state._table)) <= budget:  # the loop ran
+                    assert state.frame._memo.keys() == state._table.keys()
 
 
 @settings(max_examples=100, deadline=None)

@@ -205,6 +205,8 @@ class TestCli:
              "masses[0]: 'mass' must be a number"),
             ({"frame": ["A"], "masses": [{"set": ["A"], "mass": None}]},
              "masses[0]: 'mass' must be a number"),
+            ({"frame": ["A", "B"], "masses": [{"set": ["A", "A"], "mass": 1.0}]},
+             "masses[0]: label 'A' listed twice"),
         ],
     )
     def test_format_error_names_file(self, tmp_path, doc, cause):
@@ -222,6 +224,16 @@ class TestCli:
         )
         result = run_cli("combine", "--rule", "pcr", str(bad), example_files[0])
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("command", ["combine", "conflict", "betp"])
+    def test_open_world_input_exit_2(self, tmp_path, example_files, command):
+        path = tmp_path / "open.json"
+        write_mass(str(path), conjunctive(*EX1))
+        rule = ["--rule", "pcr"] if command == "combine" else []
+        second = [] if command == "betp" else [example_files[0]]
+        result = run_cli(command, *rule, str(path), *second)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == f"belieffusion: {path}: expected a closed-world bba\n"
 
     def test_combine_frame_mismatch_exit_3(self, tmp_path, example_files):
         other = tmp_path / "other.json"
@@ -435,8 +447,8 @@ class TestCli:
 
     def test_scenario_sweep_writes_what_each_rule_writes_alone(self, tmp_path):
         # Six rules in one process write the bytes each rule writes alone with
-        # the memos empty, as in a fresh process.
-        from belieffusion import decision, scenario
+        # the report-set memo empty, as in a fresh process.
+        from belieffusion import scenario
 
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(ACCEPTANCE_CONFIG), encoding="utf-8")
@@ -445,7 +457,6 @@ class TestCli:
         assert main(["scenario", "--config", str(cfg), "--out", str(sweep),
                      "--rules", ",".join(rules)]) == 0
         for rule in rules:
-            decision._members.cache_clear()
             scenario._report_set.cache_clear()
             alone = tmp_path / rule
             assert main(["scenario", "--config", str(cfg), "--out", str(alone),
