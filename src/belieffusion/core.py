@@ -220,6 +220,11 @@ class Frame(_Record):
         return dict(zip(fine, table.values()))
 
 
+# The most sets a frame's memo holds; it is emptied when full. A fold reads a
+# few thousand at most, and a frame that lives long stays bounded.
+_MEMO_SETS = 2**14
+
+
 class _Memo(dict):
     """The size in labels and the atom indices of each atom mask, computed on first read."""
 
@@ -229,6 +234,8 @@ class _Memo(dict):
         self.sizes = tuple(sizes)
 
     def __missing__(self, z: int) -> tuple[int, tuple[int, ...]]:
+        if len(self) >= _MEMO_SETS:
+            self.clear()
         members = tuple(_indices(z))
         return self.setdefault(z, (sum(self.sizes[i] for i in members), members))
 
@@ -298,7 +305,8 @@ class MassFunction(_Record):
     combination rule must have ``open_world=False``. The masses are stored
     in ``_table``, keyed by ``int`` bit mask in insertion order; ``entries``
     is a read-only view of it keyed by ``FocalSet``, built on first read.
-    A mass must be a number other than a ``bool``.
+    A mass must be a number other than a ``bool``. A mass function made by
+    ``_refined`` from a state on a coarsening builds ``_table`` on first read.
     """
 
     _fields = ("frame", "_table", "open_world")
@@ -319,6 +327,20 @@ class MassFunction(_Record):
     def __reduce__(self) -> tuple:
         # The cached view is rebuilt on demand, and a mappingproxy does not pickle.
         return _mass, (self.frame, self._table, self.open_world)
+
+    def __getattr__(self, name: str) -> Table:
+        # Reached only for a missing attribute, such as the table of a ``_refined``
+        # state before its first read. The table is stored before the coarse state
+        # is dropped, so a concurrent first read finds one or the other.
+        d = self.__dict__
+        coarse = d.get("_coarse")
+        if name != "_table" or coarse is None and "_table" not in d:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        if coarse is not None:
+            d.setdefault("_table", coarse.frame.refine(coarse._table))
+            d.pop("_coarse", None)
+        return d["_table"]
 
     def mass(self, fs: FocalSet) -> float:
         return self._table.get(fs.bits, 0.0) if fs.width == self.frame.size else 0.0
@@ -430,6 +452,14 @@ def _mass(frame: Frame, table: Table, open_world: bool = False) -> MassFunction:
     masses, keeping its order and dropping its zero masses."""
     m = MassFunction.__new__(MassFunction)
     m.__dict__.update(frame=frame, _table=_nonzero(table), open_world=open_world)
+    return m
+
+
+def _refined(frame: Frame, coarse: MassFunction) -> MassFunction:
+    """``coarse``, a mass function on a coarsening of ``frame``, on ``frame``
+    itself. Its table is refined on first read, and ``coarse`` then dropped."""
+    m = MassFunction.__new__(MassFunction)
+    m.__dict__.update(frame=frame, _coarse=coarse, open_world=coarse.open_world)
     return m
 
 

@@ -26,13 +26,15 @@ Decision = namedtuple("Decision", "index probability tie")
 
 # The most member visits, Σ|A| over the focal sets, for which ``betp`` runs
 # its plain loop. Least-squares fits of both paths per call, over the states
-# of desk and wide-union folds taken in fold order, with a process-wide
-# member cache's real misses (not refitted for the frame's memo), cross at
-# 338-385 members on 20 labels and 343-353 on 135: with memoized member
-# indices the loop's cost per member (52-94 ns) does not grow with the
-# frame's width, so one budget serves every width. 320 sits just below both
-# crossings. On a coarse frame a member is an atom: over the coarse states of
-# the same folds, the paths cross near 320 atom visits.
+# of desk and wide-union folds taken in fold order, crossed at 338-385
+# members on 20 labels and 343-353 on 135: with memoized member indices the
+# loop's cost per member (52-94 ns) does not grow with the frame's width, so
+# one budget serves every width, and 320 sat just below both crossings. On a
+# coarse frame a member is an atom. Refitted with the frame's memo and the
+# uint64 packing of up to 64 atoms: over the 1,500 calls of one wide-union
+# pass, each from empty memos, every budget from 96 to 320 took 55-59 ms
+# (fastest of 15 passes), 320 the slowest by under 5%, so 320 stays. Every
+# desk state runs the loop at any of these budgets.
 _BETP_LOOP_MEMBERS = 320
 
 # Rows of the member matrix expanded at once; bounds the int64 select block
@@ -94,10 +96,13 @@ def _betp_numpy(table: dict[int, float], sizes: tuple[int, ...]) -> tuple[float,
     import numpy as np
 
     n = len(sizes)
-    nbytes = (n + 7) // 8
-    packed = np.frombuffer(
-        b"".join(z.to_bytes(nbytes, "little") for z in table), dtype=np.uint8
-    ).reshape(len(table), nbytes)
+    if n <= 64:  # one uint64 per mask, packed in C: every fold's coarsening at 25 reports
+        packed = np.fromiter(table, "<u8", len(table)).view(np.uint8).reshape(len(table), 8)
+    else:
+        nbytes = (n + 7) // 8
+        packed = np.frombuffer(
+            b"".join(z.to_bytes(nbytes, "little") for z in table), dtype=np.uint8
+        ).reshape(len(table), nbytes)
     masses = np.fromiter(table.values(), np.float64, len(table))
     # Labels per atom, as floats: a set's size is a sum of whole numbers, so exact.
     labels = np.array(sizes, dtype=np.float64)

@@ -27,7 +27,7 @@ import numpy as np
 
 # conflict is unused here but stays bound: tracing tools patch it by name.
 from .core import FocalSet, Frame, MassFunction, conflict, vacuous  # noqa: F401
-from .core import FrameMismatchError, _mass, _number
+from .core import FrameMismatchError, _mass, _number, _refined
 from .core import ScenarioError  # lives in core so the CLI can map it without this module
 from .decision import betp, decide
 from .rules import RULES, DegenerateError, _step
@@ -248,7 +248,8 @@ ScenarioResult = namedtuple("ScenarioResult", "config pdb reports records failed
                             defaults=(None, None))
 ScenarioResult.__doc__ = """A ``ScenarioConfig`` with its ``PlatformDatabase``, its ``(emitter,
 FocalSet)`` reports, a ``TrajectoryRecord`` per completed step, the step of a total conflict
-(``failed_at``, an int or None) and the last fused ``MassFunction`` (``final_state``)."""
+(``failed_at``, an int or None) and the last fused ``MassFunction`` (``final_state``), on
+``pdb.frame``; ``fold`` leaves its table to be refined from the coarse state on first read."""
 
 
 def draw(config: ScenarioConfig) -> tuple[PlatformDatabase, tuple, Frame, dict]:
@@ -278,10 +279,13 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
     both the fused state and its k12. ``drawn`` must be ``draw`` of a config
     that differs from ``config`` at most in ``rule``.
 
-    The steps, ``betp`` and ``decide`` run on the draw's coarsening, and
-    only the final state is refined onto ``pdb.frame``. The atoms' order
-    keeps every insertion, sort and sum of a step, so the records and the
-    final state have the bits of a fold on ``pdb.frame`` itself.
+    The steps, ``betp`` and ``decide`` run on the draw's coarsening. The
+    final state is a ``MassFunction`` on ``pdb.frame`` whose table is
+    refined from the coarse one on first read, which then drops the coarse
+    state, so a caller that never reads it (``belieffusion scenario``) never
+    pays for it. The atoms' order keeps every insertion, sort and sum of a
+    step, so the records and the final state have the bits of a fold on
+    ``pdb.frame`` itself.
 
     A rule that cannot fuse (``DegenerateError``, ``TotalConflictError``
     included) ends the trajectory at that step, reported through ``failed_at``
@@ -305,8 +309,8 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
         records.append(TrajectoryRecord(step, emitter, report_set.cardinality, k12, p.probs[truth],
                                         None if similar is None else p.probs[similar],
                                         d.index, d.tie))
-    final_state = _mass(pdb.frame, frame.refine(state._table))
-    return ScenarioResult(config, pdb, reports, tuple(records), failed_at, final_state)
+    return ScenarioResult(config, pdb, reports, tuple(records), failed_at,
+                          _refined(pdb.frame, state))
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

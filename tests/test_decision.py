@@ -23,7 +23,7 @@ from belieffusion import (
     run_scenario,
     vacuous,
 )
-from belieffusion import decision
+from belieffusion import core, decision
 
 from conftest import EX1, FRAME_AB, ZADEH, bba, random_coarsening
 from test_core import frame_and_bbas
@@ -214,6 +214,27 @@ class TestMemberMemo:
         assert betp(m).probs == reference_betp(m)
         assert m.frame._memo.keys() == m._table.keys()
 
+    def test_a_long_lived_frame_stays_bounded(self):
+        # 20,000 bbas of 5 sets each on one frame: more distinct sets than the
+        # memo holds, which it forgets when full without changing a bit.
+        frame = make_frame([f"h{i}" for i in range(135)])
+        rng = random.Random(11)
+        seen = set()
+        for call in range(20_000):
+            masks = {}
+            while len(masks) < 5:
+                bits = rng.getrandbits(135) & rng.getrandbits(135) & rng.getrandbits(135)
+                if bits:
+                    masks[bits] = rng.random()
+            total = sum(masks.values())
+            m = MassFunction(frame, {FocalSet(b, 135): v / total for b, v in masks.items()})
+            seen.update(masks)
+            probs = betp(m).probs
+            if call % 16 == 0 or call >= 19_990:
+                assert probs == reference_betp(m)
+            assert len(frame._memo) <= core._MEMO_SETS
+        assert len(seen) > 5 * core._MEMO_SETS
+
     @pytest.mark.parametrize("budget", [8, 1024])
     def test_bounded_after_a_wide_sweep(self, monkeypatch, budget):
         # Under a small loop budget most states take the numpy path, which
@@ -396,6 +417,26 @@ class TestPerAtom:
         assert [p.prob(label) for label in "abc"] == [1 / 3] * 3
         with pytest.raises(KeyError, match="a∪b"):
             p.prob("a∪b")
+
+
+class TestNumpyPacking:
+    """``_betp_numpy`` packs the masks of a frame of at most 64 atoms as
+    uint64 words and those of a wider frame byte by byte; both give the
+    reference loop's bits, masks with bit 63 set included."""
+
+    @pytest.mark.parametrize("n_atoms", [1, 8, 63, 64, 65])
+    def test_coarse_frames(self, n_atoms):
+        coarse, fine = coarse_and_fine(n_atoms, 135, n_atoms, 300)
+        if n_atoms >= 64:
+            assert any(z >> 63 & 1 for z in coarse._table)
+        probs = decision._betp_numpy(coarse._table, coarse.frame._memo.sizes)
+        assert same_bits(per_label(PignisticDistribution(coarse.frame, probs)),
+                         reference_betp(fine))
+
+    def test_plain_frame_of_135_labels(self):
+        m = random_wide_bba(135, 300, seed=135)
+        assert any(z >> 63 & 1 for z in m._table)
+        assert same_bits(decision._betp_numpy(m._table, m.frame._memo.sizes), reference_betp(m))
 
 
 class TestDecidePerAtom:

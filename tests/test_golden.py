@@ -18,9 +18,14 @@ and inagaki seed 8 on the acceptance-gate shape pin the k12 that the two
 redistributing rules move: each changes if its rule sums k12 in pass order
 instead of reading the sorted pairs' sum, which conflict reports.
 
-The last two runs pin the platform database on shapes the others miss: one
-without a similar target, so the truth alone owns its non-common emitters,
-and one whose truth owns a single emitter, the common one.
+Two runs pin the platform database on shapes the others miss: one without
+a similar target, so the truth alone owns its non-common emitters, and one
+whose truth owns a single emitter, the common one.
+
+The last run is the only one whose ``betp`` takes the numpy path: the other
+135-target runs stop at 10 reports, below the loop's member budget, while
+dubois-prade seed 26 at 25 reports makes 12 numpy-path calls on a coarsening
+of 14 atoms and ends on 309 sets. It pins the packing of the masks.
 
 Each demo runs as README shows it, in a fresh interpreter with every warning
 an error. Like the trajectory digests, a demo's digest changes only with a
@@ -64,6 +69,8 @@ TRAJECTORIES = [
      "d17a143ce1bed48e75d441339f572bdd8946fa2aa4b80d40ffbd19124611e9b5"),
     ("inagaki", dict(DESK, seed=8),
      "9f1454dfc08af948f2690eb2366db482a1d4a16793aff44721accdfdebea930e"),
+    ("dubois-prade", dict(WIDE, n_reports=25, seed=26),
+     "f686ac1d8835ecfb6077759148f39777e9b20b408de4644c2e7ba214b8dd0731"),
 ]
 
 METADATA_SHA256 = "57e63079bdd55c56f3608c36408e0640221e910aac7ead307fdf6d65e233d986"

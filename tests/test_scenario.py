@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from belieffusion import (
     DegenerateError,
     FrameMismatchError,
+    MassFunction,
     ScenarioConfig,
     ScenarioError,
     betp,
@@ -639,3 +641,70 @@ class TestFoldOnTheCoarsening:
         result = assert_fold_matches_reference(
             make_config(rule=rule, report_mass=1.0, n_reports=25, seed=3))
         assert result.failed_at == 3
+
+
+class TestFinalStateRefinedOnRead:
+    """``fold`` leaves the final state's table to its first read, which
+    refines it from the coarse state, as refining at the end of the fold would."""
+
+    CONFIG = dict(n_targets=135, n_emitters=200, emitters_per_target=(5, 9), truth_index=4,
+                  similar_target=5, seed=4)
+
+    def eager_and_lazy(self):
+        config = make_config(rule="dubois-prade", **self.CONFIG)
+        drawn = draw(config)
+        lazy = fold(config, drawn).final_state
+        coarse = lazy.__dict__["_coarse"]
+        return core._mass(drawn[0].frame, drawn[2].refine(coarse._table)), lazy
+
+    def test_a_run_refines_nothing_until_read(self, monkeypatch):
+        calls = []
+        refine = core.Frame.refine
+        monkeypatch.setattr(core.Frame, "refine",
+                            lambda frame, table: calls.append(1) or refine(frame, table))
+        config = make_config(rule="sacr", **self.CONFIG)
+        results = [run_scenario(config), fold(config, draw(config))]
+        assert calls == []
+        for n, result in enumerate(results, start=1):
+            result.final_state._table
+            result.final_state._table
+            assert len(calls) == n
+
+    # Each way in, on a state not read before. ``test_edge_configs[wide]``
+    # checks the table of every rule against a fold on the frame itself.
+    @pytest.mark.parametrize("read", ["table", "repr", "eq", "pickle", "deepcopy", "entries",
+                                      "betp"])
+    def test_every_read_refines(self, read):
+        eager, lazy = self.eager_and_lazy()
+        assert lazy.frame is eager.frame and lazy.open_world is eager.open_world is False
+        if read == "table":
+            assert list(lazy._table.items()) == list(eager._table.items())
+        elif read == "repr":
+            assert repr(lazy) == repr(eager)
+        elif read == "eq":
+            assert lazy == eager and type(lazy) is MassFunction
+        elif read in ("pickle", "deepcopy"):
+            again = pickle.loads(pickle.dumps(lazy)) if read == "pickle" else copy.deepcopy(lazy)
+            assert type(again) is MassFunction and again == eager and repr(again) == repr(eager)
+            assert pickle.dumps(lazy) == pickle.dumps(eager)
+        elif read == "entries":
+            assert list(lazy.entries.items()) == list(eager.entries.items())
+        else:
+            assert betp(lazy) == betp(eager)
+        assert "_coarse" not in vars(lazy) and "_table" in vars(lazy)
+
+    def test_first_read_releases_the_coarse_state(self):
+        state = run_scenario(make_config(rule="sacr", **self.CONFIG)).final_state
+        coarse = weakref.ref(state.__dict__["_coarse"])
+        assert coarse() is not None and "_table" not in vars(state)
+        state._table
+        assert coarse() is None
+
+    def test_other_missing_attributes_still_raise(self):
+        state = run_scenario(make_config()).final_state
+        for m in (state, vacuous(state.frame)):
+            with pytest.raises(AttributeError, match="'MassFunction' object has no attribute 'x'"):
+                m.x
+        assert "_coarse" in vars(state) and not hasattr(vacuous(state.frame), "_coarse")
+        with pytest.raises(AttributeError, match="'_table'"):
+            MassFunction.__new__(MassFunction)._table
