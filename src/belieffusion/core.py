@@ -43,9 +43,9 @@ Table = dict[int, float]
 
 
 class Pairs(list):
-    """The disjoint pairs ``(x, y, m1(x), m2(y))`` of a pair pass, the one record of the
-    conflict. ``k12`` sorts them by ``(x, y)`` in place and sums their products left to
-    right, once, on first read: the package's one k12 sum, so every k12 has the same bits."""
+    """The disjoint pairs ``(x, y, m1(x), m2(y))`` of a pair pass, in its order, which no read
+    changes: the one record of the conflict. ``k12`` adds their products left to right in
+    ``(x, y)`` order, once, on first read: the one k12 sum, so every k12 has the same bits."""
 
     _k12 = None  # the sum, from the first read on
 
@@ -53,9 +53,8 @@ class Pairs(list):
     def k12(self) -> float:
         # Not a cached_property, whose lock (Python 3.11) cost 3% of a 20-target fold.
         if self._k12 is None:
-            self.sort()
             k12 = 0.0
-            for _, _, a, b in self:
+            for _, _, a, b in sorted(self):
                 k12 += a * b
             self._k12 = k12
         return self._k12
@@ -477,9 +476,9 @@ def disjunctive(m1: MassFunction, m2: MassFunction) -> MassFunction:
 
 def conflict(m1: MassFunction, m2: MassFunction) -> ConflictDecomposition:
     """The degree of conflict k12: total conjunctive mass on ∅, decomposed
-    into the disjoint focal pairs that produce it."""
+    into the disjoint focal pairs that produce it, in ``(x, y)`` order."""
     disjoint = _pair_pass(m1, m2)[1]
-    total = disjoint.k12  # sorts the pairs
     width = m1.frame.size
-    pairs = tuple((FocalSet(x, width), FocalSet(y, width), a * b) for x, y, a, b in disjoint)
-    return ConflictDecomposition(total, pairs)
+    pairs = tuple((FocalSet(x, width), FocalSet(y, width), a * b)
+                  for x, y, a, b in sorted(disjoint))
+    return ConflictDecomposition(disjoint.k12, pairs)

@@ -114,7 +114,7 @@ def yager(m1: MassFunction, m2: MassFunction) -> Policy:
 def dubois_prade(m1: MassFunction, m2: MassFunction) -> Policy:
     """Conjunctive masses plus each disjoint pair's product moved to X∪Y."""
     out, disjoint, _ = _pair_pass(m1, m2)
-    for x, y, a, b in disjoint:  # in storage order: reading k12 first would sort them
+    for x, y, a, b in disjoint:
         u = x | y
         out[u] = out.get(u, 0.0) + a * b
     return out, disjoint
@@ -256,10 +256,9 @@ y is returned to x and y in the ratio m_i(x) : m_j(y).
 
 
 def _shares(disjoint: Pairs) -> Iterator[tuple[int, int, float, float, float]]:
-    """``(x, y, product, to_x, to_y)`` per disjoint pair, in ``(x, y)``
-    order; pairs whose masses sum to zero have no ratio and are skipped."""
-    disjoint.sort()
-    for x, y, a, b in disjoint:
+    """``(x, y, product, to_x, to_y)`` per disjoint pair, in ``(x, y)`` order, from a
+    sorted copy; pairs whose masses sum to zero have no ratio and are skipped."""
+    for x, y, a, b in sorted(disjoint):
         denom = a + b
         if denom != 0.0:
             yield x, y, a * b, a * a * b / denom, b * b * a / denom

@@ -392,6 +392,35 @@ class TestConflict:
             d.total = 0.0
 
 
+class TestPairs:
+    """The disjoint pairs of a pass, in the pass's order, which no read changes.
+    SKEWED's pass order is not ``(x, y)`` order, and its sums in the two orders differ."""
+
+    def pairs(self):
+        return core._pair_pass(*SKEWED)[1]
+
+    def test_reading_k12_leaves_the_pass_order(self):
+        pairs = self.pairs()
+        before = list(pairs)
+        assert before != sorted(before)
+        pairs.k12
+        assert list(pairs) == before
+
+    def test_k12_and_conflict_read_them_in_xy_order(self):
+        def left_to_right(pairs):
+            total = 0.0
+            for _, _, a, b in pairs:
+                total += a * b
+            return total
+
+        pairs = self.pairs()
+        assert left_to_right(pairs) != left_to_right(sorted(pairs))
+        assert pairs.k12.hex() == left_to_right(sorted(pairs)).hex()
+        d = conflict(*SKEWED)
+        assert d.total.hex() == pairs.k12.hex()
+        assert [(x.bits, y.bits) for x, y, _ in d.pairs] == sorted((x, y) for x, y, _, _ in pairs)
+
+
 # ---------------------------------------------------------------------------
 # Randomized algebraic properties
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ from belieffusion import (
     validate,
     yager,
 )
-from belieffusion import core
+from belieffusion import core, rules
 from belieffusion.rules import _POLICIES, RULES, _step
 
-from conftest import EX1, EX2, EX3, FRAME_AB, ZADEH, bba, labelled, pcr_oracle, random_bba
+from conftest import EX1, EX2, EX3, FRAME_AB, SKEWED, ZADEH, bba, labelled, pcr_oracle, random_bba
 from test_core import frame_and_bbas
 
 
@@ -555,6 +555,33 @@ def test_step_sums_k12_at_most_once(rule, monkeypatch):
     monkeypatch.setattr(core.Pairs, "k12", property(counting))
     _step(rule, *EX3)
     assert sums.count(True) == 1
+
+
+def test_shares_in_xy_order_leave_the_pairs_in_pass_order():
+    # SKEWED's pass order is not (x, y) order.
+    pairs = core._pair_pass(*SKEWED)[1]
+    before = list(pairs)
+    in_order = [(x, y) for x, y, _, _ in sorted(before)]
+    assert before != sorted(before)
+    assert [(x, y) for x, y, *_ in rules._shares(pairs)] == in_order
+    assert list(pairs) == before
+    assert [(s.x.bits, s.y.bits) for s in pcr_shares(*SKEWED)] == in_order
+
+
+def test_dubois_prade_does_not_depend_on_reading_k12_first(monkeypatch):
+    # Dubois-Prade visits the pairs in the pass's order; on SKEWED, (x, y) order
+    # would add X∪Y = AC before Θ and sum Θ's products in another order.
+    plain = list(dubois_prade(*SKEWED)._table.items())
+    assert [z for z, _ in plain][-2:] == [0b111, 0b101]
+    pair_pass = rules._pair_pass
+
+    def reading_k12(*args, **kwargs):
+        passed = pair_pass(*args, **kwargs)
+        passed[1].k12
+        return passed
+
+    monkeypatch.setattr(rules, "_pair_pass", reading_k12)
+    assert list(dubois_prade(*SKEWED)._table.items()) == plain
 
 
 @settings(max_examples=200, deadline=None)

@@ -409,33 +409,6 @@ class TestRunScenario:
                 report = validate(state)
                 assert report.ok, (rule, report.violations)
 
-    def test_recorded_conflict_matches_refold(self):
-        cfg = make_config()
-        result = run_scenario(cfg)
-        state = vacuous(result.pdb.frame)
-        for record, (emitter, report_set) in zip(result.records, result.reports):
-            rb = report_bba(report_set, result.pdb.frame, cfg.report_mass)
-            assert record.conflict_k12 == conflict(state, rb).total
-            state = RULES[cfg.rule](state, rb)
-
-    @pytest.mark.parametrize(
-        "rule", ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr"]
-    )
-    def test_recorded_conflict_matches_refold_wide(self, rule):
-        # On 135 targets k12 sums many disjoint pairs, so a fold that summed
-        # them in another order (or read k12 from the ∩-table) would show in
-        # the last bits.
-        cfg = make_config(n_targets=135, n_emitters=200, emitters_per_target=(5, 9),
-                          truth_index=4, similar_target=5, rule=rule, seed=4)
-        result = run_scenario(cfg)
-        assert len(result.records) >= 10
-        state = vacuous(result.pdb.frame)
-        for record, (emitter, report_set) in zip(result.records, result.reports):
-            rb = report_bba(report_set, result.pdb.frame, cfg.report_mass)
-            assert record.conflict_k12 == conflict(state, rb).total
-            state = RULES[rule](state, rb)
-        assert result.final_state == state
-
     @pytest.mark.parametrize(
         "rule", ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr"]
     )
@@ -603,6 +576,30 @@ def assert_fold_matches_reference(config):
     return result
 
 
+def observe_fold(monkeypatch):
+    """Read every pass's conflict record and every step's new state, as a
+    per-step statistic or a trace would: the pairs' ``k12`` and the pairs
+    themselves, then the state's ``entries``, ``validate`` and ``betp``."""
+    pair_pass, step = rules._pair_pass, scenario._step
+
+    def observed_pass(*args, **kwargs):
+        passed = pair_pass(*args, **kwargs)
+        disjoint = passed[1]
+        disjoint.k12
+        list(disjoint)
+        return passed
+
+    def observed_step(*args):
+        state, k12 = step(*args)
+        state.entries
+        validate(state)
+        betp(state)
+        return state, k12
+
+    monkeypatch.setattr(rules, "_pair_pass", observed_pass)
+    monkeypatch.setattr(scenario, "_step", observed_step)
+
+
 @st.composite
 def small_configs(draw):
     n_targets = draw(st.integers(3, 12))
@@ -628,13 +625,24 @@ class TestFoldOnTheCoarsening:
 
     @pytest.mark.parametrize("rule", SIX_RULES)
     @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(seed=16),
         dict(n_reports=0),
         dict(similar_target=None, emitters_per_target=(1, 3)),
         dict(n_targets=135, n_emitters=200, emitters_per_target=(5, 9), truth_index=4,
              similar_target=5, seed=4),
-    ], ids=["no-reports", "no-similar-lo-1", "wide"])
-    def test_edge_configs(self, rule, overrides):
-        assert_fold_matches_reference(make_config(rule=rule, **overrides))
+    ], ids=["plain", "seed-16", "no-reports", "no-similar-lo-1", "wide"])
+    def test_edge_configs(self, rule, overrides, monkeypatch):
+        config = make_config(rule=rule, **overrides)
+        result = assert_fold_matches_reference(config)
+        # Observing the fold changes nothing. The observer reaches the reference's
+        # rule calls too, so the observed run is compared with the unobserved one.
+        observe_fold(monkeypatch)
+        observed = run_scenario(config)
+        assert [repr(r) for r in observed.records] == [repr(r) for r in result.records]
+        assert observed.failed_at == result.failed_at
+        assert (list(observed.final_state._table.items())
+                == list(result.final_state._table.items()))
 
     @pytest.mark.parametrize("rule", ["dempster", "inagaki"])
     def test_run_that_stops_at_failed_at(self, rule):
