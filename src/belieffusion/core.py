@@ -295,6 +295,27 @@ class FocalSet(_Record):
         return "∪".join(names) if names else "∅"
 
 
+class _Refine:
+    """``MassFunction._table`` where the instance holds none: a ``_refined`` state's table,
+    refined from its coarse state on first read and stored on the instance, where it
+    shadows this non-data descriptor. It is stored before the coarse state is dropped,
+    so a concurrent first read finds one or the other."""
+
+    def __get__(self, m: MassFunction | None, owner: type | None = None) -> Table:
+        if m is None:
+            return self
+        d = m.__dict__
+        coarse = d.get("_coarse")
+        if coarse is not None:
+            d.setdefault("_table", coarse.frame.refine(coarse._table))
+            d.pop("_coarse", None)
+        try:
+            return d["_table"]
+        except KeyError:
+            raise AttributeError(f"{type(m).__name__!r} object has no attribute '_table'",
+                                 name="_table", obj=m) from None
+
+
 class MassFunction(_Record):
     """A sparse basic belief assignment over subsets of a frame.
 
@@ -309,6 +330,8 @@ class MassFunction(_Record):
     """
 
     _fields = ("frame", "_table", "open_world")
+    # A descriptor, not ``__getattr__``, which would stop CPython 3.11 specializing every read.
+    _table = _Refine()
 
     def __init__(
         self, frame: Frame, entries: Mapping[FocalSet, float], open_world: bool = False
@@ -326,20 +349,6 @@ class MassFunction(_Record):
     def __reduce__(self) -> tuple:
         # The cached view is rebuilt on demand, and a mappingproxy does not pickle.
         return _mass, (self.frame, self._table, self.open_world)
-
-    def __getattr__(self, name: str) -> Table:
-        # Reached only for a missing attribute, such as the table of a ``_refined``
-        # state before its first read. The table is stored before the coarse state
-        # is dropped, so a concurrent first read finds one or the other.
-        d = self.__dict__
-        coarse = d.get("_coarse")
-        if name != "_table" or coarse is None and "_table" not in d:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
-                                 name=name, obj=self)
-        if coarse is not None:
-            d.setdefault("_table", coarse.frame.refine(coarse._table))
-            d.pop("_coarse", None)
-        return d["_table"]
 
     def mass(self, fs: FocalSet) -> float:
         return self._table.get(fs.bits, 0.0) if fs.width == self.frame.size else 0.0
@@ -409,11 +418,7 @@ def _pair_pass(
     intersections without zero masses, the disjoint pairs ``(x, y, m1(x), m2(y))``, which
     alone record the conflict, and, when ``union`` is set, the ∪-table (otherwise ``None``).
     """
-    # A fold's frames are one object, and the identity test skips `__eq__`.
-    if m1.frame is not m2.frame and m1.frame != m2.frame:
-        raise FrameMismatchError("mass functions defined on different frames")
-    if m1.open_world or m2.open_world:
-        raise ValueError("combination inputs must be closed-world bbas")
+    _check_pair(m1, m2)
     right = list(m2._table.items())
     meet: Table = {}
     disjoint = Pairs()
@@ -430,6 +435,15 @@ def _pair_pass(
                 u = x | y
                 join[u] = join.get(u, 0.0) + product
     return _nonzero(meet), disjoint, join
+
+
+def _check_pair(m1: MassFunction, m2: MassFunction) -> None:
+    """Raise unless m1 and m2 are closed-world bbas on one frame, as a pass needs."""
+    # A fold's frames are one object, and the identity test skips `__eq__`.
+    if m1.frame is not m2.frame and m1.frame != m2.frame:
+        raise FrameMismatchError("mass functions defined on different frames")
+    if m1.open_world or m2.open_world:
+        raise ValueError("combination inputs must be closed-world bbas")
 
 
 def _sum_in_order(values: Iterable[float]) -> float:

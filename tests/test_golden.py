@@ -22,10 +22,15 @@ Two runs pin the platform database on shapes the others miss: one without
 a similar target, so the truth alone owns its non-common emitters, and one
 whose truth owns a single emitter, the common one.
 
-The last run is the only one whose ``betp`` takes the numpy path: the other
-135-target runs stop at 10 reports, below the loop's member budget, while
-dubois-prade seed 26 at 25 reports makes 12 numpy-path calls on a coarsening
-of 14 atoms and ends on 309 sets. It pins the packing of the masks.
+Dubois-prade seed 26 at 25 reports is the one run whose ``betp`` takes the
+numpy path before the sacr run below: the other 135-target runs stop at 10
+reports, below the loop's member budget, while it makes 12 numpy-path calls on
+a coarsening of 14 atoms and ends on 309 sets. It pins the packing of the masks.
+
+The last run is the array form's run of the adaptive mixture: sacr seed 14 at
+25 reports, on a coarsening of 27 atoms, takes its 15 steps of 566 to 31,304
+focal pairs through ``rules._acr_arrays`` and its first 10, up to 280 pairs,
+through the dict pass. Its digest was recorded before the array form existed.
 
 Each demo runs as README shows it, in a fresh interpreter with every warning
 an error. Like the trajectory digests, a demo's digest changes only with a
@@ -71,6 +76,8 @@ TRAJECTORIES = [
      "9f1454dfc08af948f2690eb2366db482a1d4a16793aff44721accdfdebea930e"),
     ("dubois-prade", dict(WIDE, n_reports=25, seed=26),
      "f686ac1d8835ecfb6077759148f39777e9b20b408de4644c2e7ba214b8dd0731"),
+    ("sacr", dict(WIDE, n_reports=25, seed=14),
+     "2cae51bccb751a4e956dc178a0bd9c55d7bb40e500bdf28cdcfc2ad2e05c55b6"),
 ]
 
 METADATA_SHA256 = "57e63079bdd55c56f3608c36408e0640221e910aac7ead307fdf6d65e233d986"

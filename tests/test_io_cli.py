@@ -18,7 +18,7 @@ from belieffusion import (
     make_frame,
     validate,
 )
-from belieffusion import cli, core
+from belieffusion import cli, core, rules
 from belieffusion.cli import main
 from belieffusion.decision import _BETP_LOOP_MEMBERS
 from belieffusion.massio import (
@@ -620,12 +620,20 @@ WIDE_BBA = MassFunction(WIDE_FRAME, {
     WIDE_FRAME.subset_of_indices(range(30, 135)): 0.25,
 })
 
+# Two bbas of 20 focal sets on 20 labels, {i, i + 1} and {i, i + 3} (mod 20):
+# 400 focal pairs, above the pair budget from which sacr groups its sums in numpy.
+SACR_FRAME = make_frame([f"s{i:02d}" for i in range(20)])
+SACR_PAIR = [MassFunction(SACR_FRAME, {SACR_FRAME.subset_of_indices({i, (i + d) % 20}): 0.05
+                                       for i in range(20)}) for d in (1, 3)]
+
 
 @pytest.mark.parametrize(
     "argv,loads_numpy,modules,no_stdlib",
     [
         (None, False, [], ["dataclasses", "inspect"]),
         (["combine", "--rule", "pcr", "{m1}", "{m2}"], False, [], ["dataclasses", "inspect"]),
+        (["combine", "--rule", "sacr", "{m1}", "{m2}"], False, [], ["dataclasses", "inspect"]),
+        (["combine", "--rule", "sacr", "{s1}", "{s2}"], True, [], ["dataclasses"]),
         (["conflict", "{m1}", "{m2}"], False, [], ["dataclasses", "inspect"]),
         (["rules"], False, [], ["dataclasses", "inspect"]),
         (["betp", "{m1}"], False, ["decision"], ["dataclasses", "inspect"]),
@@ -633,7 +641,8 @@ WIDE_BBA = MassFunction(WIDE_FRAME, {
         (["scenario", "--config", "{config}", "--out", "{out}"], True, ["decision", "scenario"],
          []),
     ],
-    ids=["import", "combine", "conflict", "rules", "betp", "betp-wide", "scenario"],
+    ids=["import", "combine", "combine-sacr", "combine-sacr-wide", "conflict", "rules", "betp",
+         "betp-wide", "scenario"],
 )
 def test_numpy_loaded_only_by_betp_and_scenario(
     tmp_path, capsys, example_files, argv, loads_numpy, modules, no_stdlib
@@ -642,15 +651,22 @@ def test_numpy_loaded_only_by_betp_and_scenario(
     importing the package and the CLI loads no numpy and neither ``decision``
     nor ``scenario``, nor do the commands that never call them; ``betp`` loads
     ``decision``, and numpy only for a bba above its loop's member budget,
-    ``scenario`` all three, and each produces the same output as an
-    in-process run. None but ``scenario`` loads ``dataclasses``, and none that
-    skips numpy loads ``inspect``."""
+    ``combine --rule sacr`` numpy only for a pair of at most 64 atoms at or
+    above its pair budget, ``scenario`` all three, and each produces the same
+    output as an in-process run. None but ``scenario`` loads ``dataclasses``,
+    and none that skips numpy loads ``inspect``."""
     assert sum(fs.cardinality for fs in WIDE_BBA.entries) > _BETP_LOOP_MEMBERS
+    assert len(SACR_PAIR[0]._table) * len(SACR_PAIR[1]._table) >= rules._ACR_ARRAY_PAIRS
     config = tmp_path / "config.json"
     config.write_text(json.dumps(ACCEPTANCE_CONFIG), encoding="utf-8")
     wide = tmp_path / "wide.json"
     write_mass(str(wide), WIDE_BBA)
-    paths = dict(m1=example_files[0], m2=example_files[1], config=str(config), wide=str(wide))
+    sacr_paths = {}
+    for name, m in zip(("s1", "s2"), SACR_PAIR):
+        sacr_paths[name] = str(tmp_path / f"{name}.json")
+        write_mass(sacr_paths[name], m)
+    paths = dict(m1=example_files[0], m2=example_files[1], config=str(config), wide=str(wide),
+                 **sacr_paths)
     code = (
         "import sys\n"
         "import belieffusion, belieffusion.cli\n"

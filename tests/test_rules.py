@@ -1,6 +1,7 @@
 import inspect
 import math
 import pickle
+import random
 import subprocess
 import sys
 
@@ -39,7 +40,8 @@ from belieffusion import (
 from belieffusion import core, rules
 from belieffusion.rules import _POLICIES, RULES, _step
 
-from conftest import EX1, EX2, EX3, FRAME_AB, SKEWED, ZADEH, bba, labelled, pcr_oracle, random_bba
+from conftest import (EX1, EX2, EX3, FRAME_AB, FRAME_ABC, SKEWED, ZADEH, bba, labelled, pcr_oracle,
+                      random_bba, random_coarsening)
 from test_core import frame_and_bbas
 
 
@@ -595,3 +597,170 @@ def test_acr_step_does_not_amplify_drift(data, eps, up):
     residual = abs(math.fsum(drifted._table.values()) - 1.0)
     for out in (sacr(drifted, m2), acr_generic(drifted, m2, lambda k: (1.0 - k) ** 2)):
         assert abs(math.fsum(out._table.values()) - 1.0) <= residual
+
+
+def policy_bits(policy_output):
+    """A policy's table items in order and its pairs, every float as ``float.hex``, and its k12."""
+    table, pairs = policy_output
+    return (type(pairs), [(z, v.hex()) for z, v in table.items()],
+            [(x, y, a.hex(), b.hex()) for x, y, a, b in pairs], pairs.k12.hex())
+
+
+def assert_forms_agree(policy, m1, m2, *args, taken=(True,)):
+    """Run ``policy(m1, m2, *args)`` with ``_acr_combine`` handing every step on a frame of
+    at most 64 atoms to the array form (budget 0), then with the budget off, so that the
+    dict form alone runs; check that they agree bit for bit and, per step of the first
+    run, whether the array form took it. Returns the first run's result."""
+    seen = []
+    arrays = rules._acr_arrays
+
+    def spying(*a):
+        out = arrays(*a)
+        seen.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rules, "_acr_arrays", spying)
+        mp.setattr(rules, "_ACR_ARRAY_PAIRS", 0)
+        on = policy(m1, m2, *args)
+        mp.setattr(rules, "_ACR_ARRAY_PAIRS", math.inf)
+        off = policy(m1, m2, *args)
+    assert seen == list(taken)
+    assert policy_bits(on) == policy_bits(off)
+    return on
+
+
+def spread_bba(frame, masks, rng, scale=1.0):
+    """A bba on ``frame`` with random masses on the distinct ``masks``, summing to ``scale``."""
+    weights = [rng.uniform(0.01, 1.0) for _ in masks]
+    total = sum(weights)
+    return MassFunction(frame, {FocalSet(z, frame.size): scale * w / total
+                                for z, w in zip(masks, weights)})
+
+
+def random_pair(seed, low=0, scale=1.0):
+    """Two bbas of up to 25 random sets on 12 labels, each set holding the bits of ``low``;
+    the first sums to ``scale``."""
+    rng = random.Random(seed)
+    frame = make_frame([f"h{i}" for i in range(12)])
+    return [spread_bba(frame, {rng.getrandbits(12) | low or 1 for _ in range(25)}, rng, total)
+            for total in (scale, 1.0)]
+
+
+@st.composite
+def coarse_bba_pairs(draw):
+    """Two bbas of 2-24 focal sets each on a frame of 2-10 coarse atoms."""
+    n_atoms = draw(st.integers(2, 10))
+    frame = random_coarsening(random.Random(draw(st.integers(0, 2**32))),
+                              draw(st.integers(n_atoms, 2 * n_atoms + 3)), n_atoms)
+    bbas = []
+    for _ in range(2):
+        masks = draw(st.lists(st.integers(1, 2**n_atoms - 1), min_size=2,
+                              max_size=min(24, 2**n_atoms - 1), unique=True))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(masks),
+                                max_size=len(masks)))
+        total = sum(weights)
+        bbas.append(MassFunction(frame, {FocalSet(z, n_atoms): w / total
+                                         for z, w in zip(masks, weights)}))
+    return bbas
+
+
+class TestAcrArrayForm:
+    """``_acr_combine``'s array form and its dict form give the same table items in
+    order, the same pairs and the same k12, bit for bit."""
+
+    WIDE_UNION = dict(n_targets=135, n_emitters=200, emitters_per_target=(5, 9),
+                      truth_index=4, similar_target=5, pfa=0.3, report_mass=0.8, n_reports=25)
+
+    def test_every_wide_union_step_above_the_budget(self, monkeypatch):
+        from belieffusion import ScenarioConfig, run_scenario
+
+        combine, pairs = rules._acr_combine, []
+
+        def checking(m1, m2, mix):
+            n = len(m1._table) * len(m2._table)
+            if m1.frame.size <= 64 and n >= rules._ACR_ARRAY_PAIRS:
+                pairs.append(n)
+                assert_forms_agree(combine, m1, m2, mix)
+            return combine(m1, m2, mix)
+
+        monkeypatch.setattr(rules, "_acr_combine", checking)
+        for seed in range(30):
+            run_scenario(ScenarioConfig(rule="sacr", seed=seed, **self.WIDE_UNION))
+        assert len(pairs) == 137 and max(pairs) == 31304
+
+    @settings(max_examples=150, deadline=None)
+    @given(coarse_bba_pairs())
+    def test_coarse_bbas(self, pair):
+        m1, m2 = pair
+        assert_forms_agree(sacr.__wrapped__, m1, m2)
+        assert_forms_agree(acr_generic.__wrapped__, m1, m2, lambda k: (1.0 - k) ** 2)
+
+    def test_64_atoms_with_bit_63_set(self):
+        rng = random.Random(63)
+        frame = make_frame([f"h{i}" for i in range(64)])
+        m1, m2 = (spread_bba(frame, {1 << rng.randrange(63) | (i % 2) << 63 for i in range(24)},
+                             rng) for _ in range(2))
+        assert len(m1._table) * len(m2._table) >= rules._ACR_ARRAY_PAIRS
+        assert max(m1._table) >> 63 and max(m2._table) >> 63
+        table, pairs = assert_forms_agree(sacr.__wrapped__, m1, m2)
+        assert max(table) >> 63 and pairs
+
+    def test_65_atoms_stay_on_the_dict_path(self):
+        rng = random.Random(65)
+        frame = make_frame([f"h{i}" for i in range(65)])
+        m1, m2 = (spread_bba(frame, {rng.getrandbits(65) for _ in range(20)}, rng)
+                  for _ in range(2))
+        assert len(m1._table) * len(m2._table) >= rules._ACR_ARRAY_PAIRS
+        assert_forms_agree(sacr.__wrapped__, m1, m2, taken=())
+
+    def test_zero_conflict(self):
+        m1, m2 = random_pair(0, low=1)
+        _, pairs = assert_forms_agree(sacr.__wrapped__, m1, m2)
+        assert pairs == [] and pairs.k12 == 0.0
+
+    def test_renormalizing_step(self):
+        drifted, m2 = random_pair(1, scale=1.0 + 1e-6)
+        table, _ = assert_forms_agree(sacr.__wrapped__, drifted, m2)
+        assert abs(math.fsum(drifted._table.values()) - 1.0) > 1e-7
+        assert abs(math.fsum(table.values()) - 1.0) <= 1e-12
+
+    def test_zero_meet_sum_falls_back_to_the_dict_form(self):
+        # A ∩ AB = A only from a product that underflows to 0.0: the dict pass
+        # drops A from its ∩-table, so the array form declines the step.
+        m1 = bba(FRAME_ABC, {"A": 1e-200, "BC": 1.0})
+        m2 = bba(FRAME_ABC, {"AB": 1e-200, "C": 1.0})
+        table, _ = assert_forms_agree(sacr.__wrapped__, m1, m2, taken=(False,))
+        assert 0b001 not in table
+
+    def test_nan_mass(self):
+        m1, m2 = random_pair(2)
+        m1 = MassFunction(m1.frame, {**m1.entries, m1.frame.subset_of_indices([3]): math.nan})
+        table, pairs = assert_forms_agree(sacr.__wrapped__, m1, m2)
+        assert any(math.isnan(v) for v in table.values()) and math.isnan(pairs.k12)
+        # β(nan) = 0.5 passes, so α is nan but β is not: a set that only meets
+        # keeps β·m∧, a finite mass, and one that only joins gets α·m∨.
+        table, _ = assert_forms_agree(acr_generic.__wrapped__, m1, m2,
+                                      lambda k: 0.5 if k != k else 1.0 - k)
+        assert not all(math.isnan(v) for v in table.values())
+
+    def test_acr_generic_with_a_caller_beta(self):
+        m1, m2 = random_pair(3)
+        for beta in (lambda k: (1.0 - k) ** 2, lambda k: 1.0 - k, beta0):
+            assert_forms_agree(acr_generic.__wrapped__, m1, m2, beta)
+
+    def test_invalid_beta_raises_at_the_same_point(self, monkeypatch):
+        m1, m2 = random_pair(4)
+        raised = []
+        for budget in (0, math.inf):
+            calls = []
+
+            def beta(k):
+                calls.append(k.hex())
+                return 1.0 - k if k in (0.0, 1.0) else 1.5
+
+            monkeypatch.setattr(rules, "_ACR_ARRAY_PAIRS", budget)
+            with pytest.raises(InvalidBetaError) as error:
+                acr_generic(m1, m2, beta)
+            raised.append((str(error.value), calls))
+        assert raised[0] == raised[1] and len(raised[0][1]) == 3

@@ -410,23 +410,37 @@ class TestRunScenario:
                 assert report.ok, (rule, report.violations)
 
     @pytest.mark.parametrize(
-        "rule", ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr"]
+        "rule", ["dempster", "yager", "dubois-prade", "inagaki", "sacr", "pcr", "sacr-wide"]
     )
     def test_one_pair_pass_per_step(self, rule, monkeypatch):
         # Every pass goes through the kernel, either under the name the rules
         # call or under core's own (conflict and the other views): count both.
+        # The mixture's large steps pass through its array form instead, which
+        # counts as the step's one pass when it takes the step.
         calls = []
-        original = core._pair_pass
+        original, arrays = core._pair_pass, rules._acr_arrays
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append("dict")
             return original(*args, **kwargs)
+
+        def counting_arrays(*args):
+            out = arrays(*args)
+            calls.append("arrays" if out is not None else "declined")
+            return out
 
         monkeypatch.setattr(rules, "_pair_pass", counting)
         monkeypatch.setattr(core, "_pair_pass", counting)
-        result = run_scenario(make_config(rule=rule))
+        monkeypatch.setattr(rules, "_acr_arrays", counting_arrays)
+        if rule == "sacr-wide":
+            config = make_config(rule="sacr", n_targets=135, n_emitters=200,
+                                 emitters_per_target=(5, 9), n_reports=25, seed=14)
+        else:
+            config = make_config(rule=rule)
+        result = run_scenario(config)
         assert result.failed_at is None
-        assert len(calls) == len(result.records) == 12
+        assert len(calls) == len(result.records) == config.n_reports
+        assert calls.count("arrays") == (15 if rule == "sacr-wide" else 0)
 
     def test_smets_rejected(self):
         with pytest.raises(ScenarioError, match="smets"):
