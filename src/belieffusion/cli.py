@@ -14,8 +14,9 @@ argument) or parse/validation/config failure (an open-world bba and an unknown
 key included; a config is checked when built, so ``scenario`` checks every
 run, ``smets`` and an empty or repeated ``--rules`` entry included, before it
 writes anything), 3 frame mismatch, 4 a ``combine`` rule that cannot fuse
-(total conflict or degenerate combination), 5 I/O error. Each failure prints
-one ``belieffusion: <cause>`` line; diagnostics go to stderr, data to stdout.
+(total conflict or degenerate combination), 5 I/O error (an output that
+cannot be written, or a label stdout's encoding cannot encode). Each failure
+prints one ``belieffusion: <cause>`` line; diagnostics go to stderr, data to stdout.
 
 ``scenario`` draws the database, the reports, their coarsening and its report
 bbas once, and folds that draw under each ``--rules`` entry, so every rule fuses
@@ -60,6 +61,7 @@ EXIT_CODES: dict[type[Exception], int] = {
     FrameMismatchError: EXIT_FRAME_MISMATCH,
     DegenerateError: EXIT_TOTAL_CONFLICT,
     OSError: EXIT_IO,
+    UnicodeEncodeError: EXIT_IO,  # stdout cannot encode a label
 }
 
 

@@ -70,8 +70,8 @@ class ScenarioError(ValueError):
 
 class _Record:
     """An immutable record of the ``_fields`` its subclass's ``__init__`` sets with
-    ``object.__setattr__``. Equality, hashing, ``repr`` and pickling go by the
-    fields, and only records of one class compare equal."""
+    ``object.__setattr__``, or reads through a property. Equality, hashing, ``repr``
+    and pickling go by the fields, and only records of one class compare equal."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -295,43 +295,19 @@ class FocalSet(_Record):
         return "∪".join(names) if names else "∅"
 
 
-class _Refine:
-    """``MassFunction._table`` where the instance holds none: a ``_refined`` state's table,
-    refined from its coarse state on first read and stored on the instance, where it
-    shadows this non-data descriptor. It is stored before the coarse state is dropped,
-    so a concurrent first read finds one or the other."""
-
-    def __get__(self, m: MassFunction | None, owner: type | None = None) -> Table:
-        if m is None:
-            return self
-        d = m.__dict__
-        coarse = d.get("_coarse")
-        if coarse is not None:
-            d.setdefault("_table", coarse.frame.refine(coarse._table))
-            d.pop("_coarse", None)
-        try:
-            return d["_table"]
-        except KeyError:
-            raise AttributeError(f"{type(m).__name__!r} object has no attribute '_table'",
-                                 name="_table", obj=m) from None
-
-
 class MassFunction(_Record):
     """A sparse basic belief assignment over subsets of a frame.
 
     Only strictly positive masses are stored; reading an absent set yields 0.
     ``open_world`` marks results that legitimately carry mass on the empty
-    set (the conjunctive operator, Smets' rule); closed-world inputs to any
-    combination rule must have ``open_world=False``. The masses are stored
-    in ``_table``, keyed by ``int`` bit mask in insertion order; ``entries``
-    is a read-only view of it keyed by ``FocalSet``, built on first read.
-    A mass must be a number other than a ``bool``. A mass function made by
-    ``_refined`` from a state on a coarsening builds ``_table`` on first read.
+    set (the conjunctive operator, Smets' rule); every combination rule and
+    ``betp`` take only closed-world bbas: ``open_world=False``, no mass on ∅.
+    Each holds its masses in ``_table``, keyed by ``int`` bit mask in insertion
+    order; ``entries`` is a read-only view of it keyed by ``FocalSet``, built on
+    first read. A mass must be a number other than a ``bool``.
     """
 
     _fields = ("frame", "_table", "open_world")
-    # A descriptor, not ``__getattr__``, which would stop CPython 3.11 specializing every read.
-    _table = _Refine()
 
     def __init__(
         self, frame: Frame, entries: Mapping[FocalSet, float], open_world: bool = False
@@ -442,8 +418,16 @@ def _check_pair(m1: MassFunction, m2: MassFunction) -> None:
     # A fold's frames are one object, and the identity test skips `__eq__`.
     if m1.frame is not m2.frame and m1.frame != m2.frame:
         raise FrameMismatchError("mass functions defined on different frames")
-    if m1.open_world or m2.open_world:
-        raise ValueError("combination inputs must be closed-world bbas")
+    _check_closed_world(m1)
+    _check_closed_world(m2)
+
+
+def _check_closed_world(m: MassFunction) -> None:
+    """Raise unless m is closed-world and has no mass on ∅, as every rule and ``betp`` need."""
+    if m.open_world:
+        raise ValueError("expected a closed-world bba, not an open-world one")
+    if 0 in m._table:
+        raise ValueError(f"closed-world bba carries mass on ∅: {m._table[0]!r}")
 
 
 def _sum_in_order(values: Iterable[float]) -> float:
@@ -465,14 +449,6 @@ def _mass(frame: Frame, table: Table, open_world: bool = False) -> MassFunction:
     masses, keeping its order and dropping its zero masses."""
     m = MassFunction.__new__(MassFunction)
     m.__dict__.update(frame=frame, _table=_nonzero(table), open_world=open_world)
-    return m
-
-
-def _refined(frame: Frame, coarse: MassFunction) -> MassFunction:
-    """``coarse``, a mass function on a coarsening of ``frame``, on ``frame``
-    itself. Its table is refined on first read, and ``coarse`` then dropped."""
-    m = MassFunction.__new__(MassFunction)
-    m.__dict__.update(frame=frame, _coarse=coarse, open_world=coarse.open_world)
     return m
 
 

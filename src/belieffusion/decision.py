@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import FocalSet, MassFunction
+from .core import FocalSet, MassFunction, _check_closed_world
 
 __all__ = ["PignisticDistribution", "Decision", "betp", "decide", "TIE_TOL"]
 
@@ -70,11 +70,8 @@ def betp(m: MassFunction) -> PignisticDistribution:
     Only the set sizes are summed by ``@``: sums of whole numbers, exact in
     any order.
     """
-    if m.open_world:
-        raise ValueError("pignistic transform requires a closed-world bba")
+    _check_closed_world(m)
     table = m._table
-    if 0 in table:
-        raise ValueError("closed-world bba carries mass on ∅, which has no pignistic home")
     # len(table) ≤ Σ|A| ≤ len(table) × |Θ|, so either bound settles most
     # calls without counting: a small or a large bba pays no Σ|A| pass.
     n, memo = m.frame.size, m.frame._memo

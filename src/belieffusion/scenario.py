@@ -27,7 +27,7 @@ import numpy as np
 
 # conflict is unused here but stays bound: tracing tools patch it by name.
 from .core import FocalSet, Frame, MassFunction, conflict, vacuous  # noqa: F401
-from .core import FrameMismatchError, _mass, _number, _refined
+from .core import FrameMismatchError, _mass, _number, _Record
 from .core import ScenarioError  # lives in core so the CLI can map it without this module
 from .decision import betp, decide
 from .rules import RULES, DegenerateError, _step
@@ -244,12 +244,36 @@ TrajectoryRecord = namedtuple("TrajectoryRecord", "step reported_emitter report_
 TrajectoryRecord.__doc__ = """One fused step: ``conflict_k12``, ``betp_truth`` and ``betp_similar``
 are floats (``betp_similar`` is None without a similar target), ``tie`` a bool, the rest ints."""
 
-ScenarioResult = namedtuple("ScenarioResult", "config pdb reports records failed_at final_state",
-                            defaults=(None, None))
-ScenarioResult.__doc__ = """A ``ScenarioConfig`` with its ``PlatformDatabase``, its ``(emitter,
-FocalSet)`` reports, a ``TrajectoryRecord`` per completed step, the step of a total conflict
-(``failed_at``, an int or None) and the last fused ``MassFunction`` (``final_state``), on
-``pdb.frame``; ``fold`` leaves its table to be refined from the coarse state on first read."""
+
+class ScenarioResult(_Record):
+    """A ``ScenarioConfig`` with its ``PlatformDatabase``, its ``(emitter, FocalSet)``
+    reports, a ``TrajectoryRecord`` per completed step, the step of a total conflict
+    (``failed_at``, an int or None) and the last fused ``MassFunction``
+    (``final_state``), on ``pdb.frame``.
+
+    ``fold`` hands over its last state on the draw's coarsening. The first read of
+    ``final_state`` refines it onto ``pdb.frame`` and keeps the result in its place,
+    which frees the coarse state, and later reads return that object. A state on
+    ``pdb.frame`` itself, or None, is returned as given. Concurrent first reads
+    each refine, to equal states."""
+
+    __slots__ = ("config", "pdb", "reports", "records", "failed_at", "_state")
+    _fields = ("config", "pdb", "reports", "records", "failed_at", "final_state")
+
+    def __init__(self, config: ScenarioConfig, pdb: PlatformDatabase, reports: tuple,
+                 records: tuple, failed_at: Optional[int] = None,
+                 final_state: Optional[MassFunction] = None) -> None:
+        for name, value in zip(self.__slots__, (config, pdb, reports, records, failed_at,
+                                                final_state)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def final_state(self) -> Optional[MassFunction]:
+        state, frame = self._state, self.pdb.frame
+        if state is not None and state.frame is not frame:  # not !=: a coarsening may equal it
+            state = _mass(frame, state.frame.refine(state._table), state.open_world)
+            object.__setattr__(self, "_state", state)
+        return state
 
 
 def draw(config: ScenarioConfig) -> tuple[PlatformDatabase, tuple, Frame, dict]:
@@ -279,13 +303,13 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
     both the fused state and its k12. ``drawn`` must be ``draw`` of a config
     that differs from ``config`` at most in ``rule``.
 
-    The steps, ``betp`` and ``decide`` run on the draw's coarsening. The
-    final state is a ``MassFunction`` on ``pdb.frame`` whose table is
-    refined from the coarse one on first read, which then drops the coarse
-    state, so a caller that never reads it (``belieffusion scenario``) never
-    pays for it. The atoms' order keeps every insertion, sort and sum of a
-    step, so the records and the final state have the bits of a fold on
-    ``pdb.frame`` itself.
+    The steps, ``betp`` and ``decide`` run on the draw's coarsening, and
+    the result takes the last state as it is: ``ScenarioResult`` refines it
+    onto ``pdb.frame`` on the first read of ``final_state``, so a caller
+    that never reads it (``belieffusion scenario``) never pays for it. The
+    atoms' order keeps every insertion, sort and sum of a step, so the
+    records and the final state have the bits of a fold on ``pdb.frame``
+    itself.
 
     A rule that cannot fuse (``DegenerateError``, ``TotalConflictError``
     included) ends the trajectory at that step, reported through ``failed_at``
@@ -309,8 +333,7 @@ def fold(config: ScenarioConfig, drawn: tuple) -> ScenarioResult:
         records.append(TrajectoryRecord(step, emitter, report_set.cardinality, k12, p.probs[truth],
                                         None if similar is None else p.probs[similar],
                                         d.index, d.tie))
-    return ScenarioResult(config, pdb, reports, tuple(records), failed_at,
-                          _refined(pdb.frame, state))
+    return ScenarioResult(config, pdb, reports, tuple(records), failed_at, state)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:

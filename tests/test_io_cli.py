@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 import re
 import subprocess
@@ -105,11 +106,13 @@ SMALL_CONFIG = {
 }
 
 
-def run_cli(*args):
+def run_cli(*args, **env):
+    """The CLI in a fresh interpreter, with ``env`` added to this process's environment."""
     return subprocess.run(
         [sys.executable, "-m", "belieffusion", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, **env} if env else None,
     )
 
 
@@ -271,6 +274,23 @@ class TestCli:
         result = run_cli("combine", "--rule", "pcr", *example_files, "-o", str(out))
         assert result.returncode == 5
         assert "Traceback" not in result.stderr
+
+    # conflict prints the pair (A, B∪C) of ASCII labels; betp prints the label Ω.
+    @pytest.mark.parametrize("command,labels,bbas", [
+        ("conflict", "ABC", [{"A": 0.6, "ABC": 0.4}, {"B": 0.5, "BC": 0.2, "ABC": 0.3}]),
+        ("betp", "AΩ", [{"A": 0.6, "AΩ": 0.4}]),
+    ], ids=["conflict", "betp"])
+    def test_output_stdout_cannot_encode_exit_5(self, tmp_path, command, labels, bbas):
+        paths = [tmp_path / f"m{i}.json" for i in range(len(bbas))]
+        for path, masses in zip(paths, bbas):
+            write_mass(str(path), bba(make_frame(labels), masses))
+        result = run_cli(command, *map(str, paths), PYTHONIOENCODING="ascii")
+        assert result.returncode == 5 and "Traceback" not in result.stderr
+        assert result.stderr.startswith("belieffusion: ") and result.stderr.count("\n") == 1
+        assert "can't encode character" in result.stderr
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        for doc in (cli.__doc__, readme):
+            assert "stdout's encoding cannot encode" in _exit_code_paragraph(doc)
 
     def test_non_finite_mass_exit_2(self, tmp_path):
         path = tmp_path / "nan.json"

@@ -390,6 +390,32 @@ def test_rule_registry_names():
     }
 
 
+# Every function over a pair of bbas, by name: each rule of RULES, and the rest.
+PAIR_FUNCTIONS = {
+    **RULES,
+    "conflict": conflict,
+    "conjunctive": conjunctive,
+    "disjunctive": disjunctive,
+    "pcr_shares": pcr_shares,
+    "acr_inagaki_weights": lambda m1, m2: acr_inagaki_weights(m1, m2, beta0),
+    "acr_generic": lambda m1, m2: acr_generic(m1, m2, beta0),
+    "inagaki_generic": lambda m1, m2: inagaki_generic(m1, m2, {FRAME_AB.full_set(): 1.0}),
+}
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+@pytest.mark.parametrize("name", PAIR_FUNCTIONS)
+def test_closed_world_mass_on_empty_set_is_rejected(name, side, monkeypatch):
+    # A closed-world bba with mass on ∅ is invalid input: no rule may fuse it.
+    empty = MassFunction(FRAME_AB, {FRAME_AB.empty_set(): 0.5, FRAME_AB.full_set(): 0.5})
+    pair = [bba(FRAME_AB, {"A": 0.6, "AB": 0.4})] * 2
+    pair[side] = empty
+    for array_pairs in (0, math.inf):  # the adaptive mixture's array form, then its dict pass
+        monkeypatch.setattr(rules, "_ACR_ARRAY_PAIRS", array_pairs)
+        with pytest.raises(ValueError, match="closed-world bba carries mass on ∅: 0.5"):
+            PAIR_FUNCTIONS[name](*pair)
+
+
 def test_rule_signatures_return_a_mass_function():
     pair = "m1: 'MassFunction', m2: 'MassFunction'"
     assert str(inspect.signature(pcr)) == f"({pair}) -> 'MassFunction'"

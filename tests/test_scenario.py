@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import pickle
+import threading
 import weakref
 
 import numpy as np
@@ -543,7 +544,8 @@ class TestRecords:
     def test_fields_cannot_be_set_or_deleted(self):
         pdb, record, result = self.records()
         fields = [(pdb, "frame"), (pdb, "emitter_index"), (record, "step"), (record, "tie"),
-                  (record, "extra"), (result, "records"), (result, "failed_at")]
+                  (record, "extra"), (result, "records"), (result, "failed_at"),
+                  (result, "final_state")]
         for obj, field in fields:
             with pytest.raises(AttributeError):
                 setattr(obj, field, None)
@@ -666,18 +668,20 @@ class TestFoldOnTheCoarsening:
 
 
 class TestFinalStateRefinedOnRead:
-    """``fold`` leaves the final state's table to its first read, which
-    refines it from the coarse state, as refining at the end of the fold would."""
+    """``fold`` hands ``ScenarioResult`` its state on the draw's coarsening, and the
+    first read of ``final_state`` refines it, as refining at the end of the fold would."""
 
     CONFIG = dict(n_targets=135, n_emitters=200, emitters_per_target=(5, 9), truth_index=4,
                   similar_target=5, seed=4)
 
     def eager_and_lazy(self):
+        """The refinement made by hand, and a fresh result whose state is still coarse."""
         config = make_config(rule="dubois-prade", **self.CONFIG)
         drawn = draw(config)
-        lazy = fold(config, drawn).final_state
-        coarse = lazy.__dict__["_coarse"]
-        return core._mass(drawn[0].frame, drawn[2].refine(coarse._table)), lazy
+        result = fold(config, drawn)
+        coarse = result._state
+        assert coarse.frame is drawn[2] and coarse.frame != drawn[0].frame
+        return core._mass(drawn[0].frame, drawn[2].refine(coarse._table)), result
 
     def test_a_run_refines_nothing_until_read(self, monkeypatch):
         calls = []
@@ -692,19 +696,23 @@ class TestFinalStateRefinedOnRead:
             result.final_state._table
             assert len(calls) == n
 
-    # Each way in, on a state not read before. ``test_edge_configs[wide]``
+    # What the first read gives, seen each way. ``test_edge_configs[wide]``
     # checks the table of every rule against a fold on the frame itself.
     @pytest.mark.parametrize("read", ["table", "repr", "eq", "pickle", "deepcopy", "entries",
                                       "betp"])
     def test_every_read_refines(self, read):
-        eager, lazy = self.eager_and_lazy()
-        assert lazy.frame is eager.frame and lazy.open_world is eager.open_world is False
+        eager, result = self.eager_and_lazy()
+        lazy = result.final_state
+        assert result.final_state is lazy and result._state is lazy
+        assert type(lazy) is MassFunction and "_table" in vars(lazy)
+        assert lazy.frame is eager.frame is result.pdb.frame
+        assert lazy.open_world is eager.open_world is False
         if read == "table":
             assert list(lazy._table.items()) == list(eager._table.items())
         elif read == "repr":
             assert repr(lazy) == repr(eager)
         elif read == "eq":
-            assert lazy == eager and type(lazy) is MassFunction
+            assert lazy == eager
         elif read in ("pickle", "deepcopy"):
             again = pickle.loads(pickle.dumps(lazy)) if read == "pickle" else copy.deepcopy(lazy)
             assert type(again) is MassFunction and again == eager and repr(again) == repr(eager)
@@ -713,20 +721,82 @@ class TestFinalStateRefinedOnRead:
             assert list(lazy.entries.items()) == list(eager.entries.items())
         else:
             assert betp(lazy) == betp(eager)
-        assert "_coarse" not in vars(lazy) and "_table" in vars(lazy)
+
+    @pytest.mark.parametrize("read", ["repr", "eq", "pickle", "deepcopy"])
+    def test_an_unread_result_is_a_read_one(self, read):
+        (_, unread), (_, read_one) = self.eager_and_lazy(), self.eager_and_lazy()
+        read_one.final_state
+        assert unread._state.frame is not unread.pdb.frame
+        if read == "repr":
+            assert repr(unread) == repr(read_one)
+        elif read == "eq":
+            assert unread == read_one
+        elif read == "pickle":
+            assert pickle.dumps(unread) == pickle.dumps(read_one)
+            assert pickle.loads(pickle.dumps(unread)) == read_one
+        else:
+            again = copy.deepcopy(unread)
+            # Not the whole repr: a deep-copied frozenset may list its members in another order.
+            assert type(again) is scenario.ScenarioResult and again == read_one
+            assert repr(again.final_state) == repr(read_one.final_state)
+        assert unread._state.frame is unread.pdb.frame
 
     def test_first_read_releases_the_coarse_state(self):
-        state = run_scenario(make_config(rule="sacr", **self.CONFIG)).final_state
-        coarse = weakref.ref(state.__dict__["_coarse"])
-        assert coarse() is not None and "_table" not in vars(state)
-        state._table
-        assert coarse() is None
+        result = run_scenario(make_config(rule="sacr", **self.CONFIG))
+        coarse = weakref.ref(result._state)
+        assert coarse().frame is not result.pdb.frame
+        state = result.final_state
+        assert coarse() is None and result._state is state
+
+    def test_a_state_on_the_frame_or_none_is_returned_as_given(self):
+        result = run_scenario(make_config())
+        state = result.final_state
+        fields = (result.config, result.pdb, result.reports, result.records, result.failed_at)
+        given = scenario.ScenarioResult(*fields, state)
+        assert given.final_state is state and given == result
+        assert scenario.ScenarioResult(*fields).final_state is None
+        assert scenario.ScenarioResult(*fields, None).final_state is None
+        # A frame equal to the database's but another object is refined onto it.
+        plain = make_frame(result.pdb.frame.labels)
+        refined = scenario.ScenarioResult(*fields, core._mass(plain, state._table)).final_state
+        assert refined.frame is result.pdb.frame and refined == state
+
+    def test_concurrent_first_reads(self, monkeypatch):
+        # The barrier holds each refinement until both threads are in one, so both read
+        # the coarse state before either stores its refinement.
+        eager, result = self.eager_and_lazy()
+        barrier = threading.Barrier(2, timeout=10)
+        refine = core.Frame.refine
+        states, errors = [], []
+
+        def refine_together(frame, table):
+            barrier.wait()
+            return refine(frame, table)
+
+        monkeypatch.setattr(core.Frame, "refine", refine_together)
+
+        def read():
+            try:
+                states.append(result.final_state)
+            except BaseException as exc:  # noqa: BLE001 (reported below)
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == [] and len(states) == 2
+        assert states[0] == states[1] == eager and result.final_state in states
 
     def test_other_missing_attributes_still_raise(self):
-        state = run_scenario(make_config()).final_state
+        result = run_scenario(make_config())
+        state = result.final_state
         for m in (state, vacuous(state.frame)):
             with pytest.raises(AttributeError, match="'MassFunction' object has no attribute 'x'"):
                 m.x
-        assert "_coarse" in vars(state) and not hasattr(vacuous(state.frame), "_coarse")
+        assert "_table" in vars(state) and "_table" not in vars(MassFunction)
         with pytest.raises(AttributeError, match="'_table'"):
             MassFunction.__new__(MassFunction)._table
+        with pytest.raises(AttributeError):
+            result.x
