@@ -17,6 +17,8 @@ writes anything), 3 frame mismatch, 4 a ``combine`` rule that cannot fuse
 (total conflict or degenerate combination), 5 I/O error (an output that
 cannot be written, or a label stdout's encoding cannot encode). Each failure
 prints one ``belieffusion: <cause>`` line; diagnostics go to stderr, data to stdout.
+``combine``, ``conflict`` and ``betp`` write their output at once, so a failure leaves stdout
+empty, and reject (exit 2) a label that holds ``,``, ``∪`` or a line break, as it splits lines.
 
 ``scenario`` draws the database, the reports, their coarsening and its report
 bbas once, and folds that draw under each ``--rules`` entry, so every rule fuses
@@ -67,6 +69,9 @@ EXIT_CODES: dict[type[Exception], int] = {
 
 def _load_closed_world(path: str) -> MassFunction:
     m = read_mass(path)
+    for label in m.frame.labels:  # each would split a line of the commands' output
+        if "," in label or "∪" in label or label.splitlines() != [label]:
+            raise MassFormatError(f"{path}: label {label!r} holds ',', '∪' or a line break")
     report = validate(m)
     if not report.ok:
         raise MassFormatError(f"{path}: " + "; ".join(report.violations))
@@ -81,9 +86,8 @@ def _cmd_combine(args: argparse.Namespace) -> int:
     fused = RULES[args.rule](m1, m2)
     if args.output:
         write_mass(args.output, fused)
-    else:
-        json.dump(mass_to_dict(fused), sys.stdout, ensure_ascii=False, indent=2)
-        print()
+    else:  # one write, so a failure to encode leaves stdout empty
+        print(json.dumps(mass_to_dict(fused), ensure_ascii=False, indent=2))
     return EXIT_OK
 
 
@@ -91,9 +95,9 @@ def _cmd_conflict(args: argparse.Namespace) -> int:
     m1 = _load_closed_world(args.bba1)
     m2 = _load_closed_world(args.bba2)
     decomposition = core.conflict(m1, m2)
-    print(repr(decomposition.total))
-    for x, y, product in decomposition.pairs:
-        print(f"{x.label(m1.frame)},{y.label(m1.frame)},{product!r}")
+    print("\n".join([repr(decomposition.total)] + [
+        f"{x.label(m1.frame)},{y.label(m1.frame)},{product!r}"
+        for x, y, product in decomposition.pairs]))
     return EXIT_OK
 
 
@@ -102,8 +106,7 @@ def _cmd_betp(args: argparse.Namespace) -> int:
 
     m = _load_closed_world(args.bba)
     p = decision.betp(m)
-    for label, prob in zip(m.frame.labels, p.probs):
-        print(f"{label},{prob!r}")
+    print("\n".join(f"{label},{prob!r}" for label, prob in zip(m.frame.labels, p.probs)))
     return EXIT_OK
 
 

@@ -42,6 +42,30 @@ SUM_TOL = 1e-9
 Table = dict[int, float]
 
 
+class _Packed(dict):
+    """The table of the numpy arrays ``masks`` (``<u8``) and ``masses`` (``f8``), which it keeps
+    in ``arrays``. No table is changed once built; this one pickles and copies as a dict."""
+
+    __slots__ = ("arrays",)
+
+    def __init__(self, masks, masses) -> None:
+        super().__init__(zip(masks.tolist(), masses.tolist()))
+        masks.flags.writeable = masses.flags.writeable = False
+        self.arrays = masks, masses
+
+    def __reduce__(self) -> tuple:
+        return dict, (dict(self),)
+
+
+def _arrays(table: Table) -> tuple:
+    """``table``'s masks, each below 2**64, and masses as ``_Packed`` keeps them, or packed now."""
+    if type(table) is _Packed:
+        return table.arrays
+    import numpy as np
+
+    return np.fromiter(table, "<u8", len(table)), np.fromiter(table.values(), "f8", len(table))
+
+
 class Pairs(list):
     """The disjoint pairs ``(x, y, m1(x), m2(y))`` of a pair pass, in its order, which no read
     changes: the one record of the conflict. ``k12`` adds their products left to right in
@@ -441,7 +465,8 @@ def _sum_in_order(values: Iterable[float]) -> float:
 
 def _nonzero(table: Table) -> Table:
     """``table`` without its zero masses; ``table`` itself when it has none."""
-    return {z: v for z, v in table.items() if v != 0.0} if 0.0 in table.values() else table
+    values = table.arrays[1] if type(table) is _Packed else table.values()  # one numpy compare
+    return {z: v for z, v in table.items() if v != 0.0} if 0.0 in values else table
 
 
 def _mass(frame: Frame, table: Table, open_world: bool = False) -> MassFunction:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import FocalSet, MassFunction, _check_closed_world
+from .core import FocalSet, MassFunction, _arrays, _check_closed_world
 
 __all__ = ["PignisticDistribution", "Decision", "betp", "decide", "TIE_TOL"]
 
@@ -93,14 +93,15 @@ def _betp_numpy(table: dict[int, float], sizes: tuple[int, ...]) -> tuple[float,
     import numpy as np
 
     n = len(sizes)
-    if n <= 64:  # one uint64 per mask, packed in C: every fold's coarsening at 25 reports
-        packed = np.fromiter(table, "<u8", len(table)).view(np.uint8).reshape(len(table), 8)
+    if n <= 64:  # one uint64 per mask: every fold's coarsening at 25 reports
+        masks, masses = _arrays(table)
+        packed = masks.view(np.uint8).reshape(len(table), 8)
     else:
         nbytes = (n + 7) // 8
         packed = np.frombuffer(
             b"".join(z.to_bytes(nbytes, "little") for z in table), dtype=np.uint8
         ).reshape(len(table), nbytes)
-    masses = np.fromiter(table.values(), np.float64, len(table))
+        masses = np.fromiter(table.values(), np.float64, len(table))
     # Labels per atom, as floats: a set's size is a sum of whole numbers, so exact.
     labels = np.array(sizes, dtype=np.float64)
     acc = np.zeros(n)

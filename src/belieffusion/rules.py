@@ -22,8 +22,8 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator, Mapping
 from functools import update_wrapper
 
-from .core import FocalSet, MassFunction, Pairs, Table, conjunctive
-from .core import _check_pair, _mass, _nonzero, _pair_pass, _sum_in_order, validate
+from .core import FocalSet, MassFunction, Pairs, Table, conjunctive, validate
+from .core import _Packed, _arrays, _check_pair, _mass, _nonzero, _pair_pass, _sum_in_order
 from .core import conflict, disjunctive  # noqa: F401 (tracing tools patch them here)
 
 __all__ = [
@@ -219,8 +219,8 @@ def _acr_combine(
 def _acr_arrays(
     m1: MassFunction, m2: MassFunction, mix: Callable[[float], tuple[float, float]]
 ) -> Policy | None:
-    """``_acr_combine``'s step from numpy arrays of one ``uint64`` mask per set; ``None``
-    when a ∩-sum is 0.0, which the dict pass would drop from its ∩-table.
+    """``_acr_combine``'s step from the inputs' ``_arrays``, one ``uint64`` mask per set, as a
+    ``_Packed`` table; ``None`` when a ∩-sum is 0.0, which the dict pass would drop.
 
     The |m1| × |m2| products, ∩ and ∪ masks lie in the pass's visit order (row x of m1,
     column y of m2). One ``np.unique`` over the non-empty ∩ masks followed by the ∪
@@ -233,14 +233,11 @@ def _acr_arrays(
     import numpy as np
 
     _check_pair(m1, m2)
-    t1, t2 = m1._table, m2._table
-    x, y = np.fromiter(t1, np.uint64, len(t1)), np.fromiter(t2, np.uint64, len(t2))
-    a = np.fromiter(t1.values(), np.float64, len(t1))
-    b = np.fromiter(t2.values(), np.float64, len(t2))
+    (x, a), (y, b) = _arrays(m1._table), _arrays(m2._table)
     products = np.multiply.outer(a, b).ravel()
     meets = np.bitwise_and.outer(x, y).ravel()
     hit = meets != 0
-    i, j = np.divmod(np.flatnonzero(~hit), len(t2))
+    i, j = np.divmod(np.flatnonzero(~hit), len(y))
     disjoint = Pairs(zip(x[i].tolist(), y[j].tolist(), a[i].tolist(), b[j].tolist()))
     meets = meets[hit]
     keys, first, inverse = np.unique(
@@ -265,7 +262,7 @@ def _acr_arrays(
     norm = float(np.cumsum(out)[-1])
     if abs(norm - 1.0) > _ACR_DRIFT_TOL:
         out /= norm
-    return dict(zip(keys[order].tolist(), out.tolist())), disjoint
+    return _Packed(keys[order].astype("<u8", copy=False), out), disjoint
 
 
 @_rule

@@ -275,22 +275,41 @@ class TestCli:
         assert result.returncode == 5
         assert "Traceback" not in result.stderr
 
-    # conflict prints the pair (A, B∪C) of ASCII labels; betp prints the label Ω.
+    # conflict prints the pair (A, B∪C) of ASCII labels, after k12; betp prints the
+    # label Ω after A's line, and combine after the start of its JSON document.
     @pytest.mark.parametrize("command,labels,bbas", [
         ("conflict", "ABC", [{"A": 0.6, "ABC": 0.4}, {"B": 0.5, "BC": 0.2, "ABC": 0.3}]),
         ("betp", "AΩ", [{"A": 0.6, "AΩ": 0.4}]),
-    ], ids=["conflict", "betp"])
+        ("combine --rule pcr", "AΩ", [{"A": 0.6, "AΩ": 0.4}, {"Ω": 0.3, "AΩ": 0.7}]),
+    ], ids=["conflict", "betp", "combine"])
     def test_output_stdout_cannot_encode_exit_5(self, tmp_path, command, labels, bbas):
         paths = [tmp_path / f"m{i}.json" for i in range(len(bbas))]
         for path, masses in zip(paths, bbas):
             write_mass(str(path), bba(make_frame(labels), masses))
-        result = run_cli(command, *map(str, paths), PYTHONIOENCODING="ascii")
+        result = run_cli(*command.split(), *map(str, paths), PYTHONIOENCODING="ascii")
         assert result.returncode == 5 and "Traceback" not in result.stderr
+        assert result.stdout == ""
         assert result.stderr.startswith("belieffusion: ") and result.stderr.count("\n") == 1
         assert "can't encode character" in result.stderr
         readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
         for doc in (cli.__doc__, readme):
             assert "stdout's encoding cannot encode" in _exit_code_paragraph(doc)
+
+    @pytest.mark.parametrize("label", ["A,B", "D\nE", "F∪G", "H\r", "I\u2028J"])
+    @pytest.mark.parametrize("command", ["betp", "conflict", "combine --rule sacr"])
+    def test_label_that_would_split_an_output_line_exit_2(self, tmp_path, capsys, command,
+                                                          label):
+        frame = make_frame([label, "Z"])
+        path = str(tmp_path / "m.json")
+        write_mass(path, MassFunction(frame, {frame.subset([label]): 0.7,
+                                              frame.full_set(): 0.3}))
+        assert main([*command.split(), *[path] * (1 if command == "betp" else 2)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"belieffusion: {path}: label {label!r} holds ',', '∪' or a line break\n"
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        assert "a label that holds `,`, `∪` or a line break" in " ".join(readme.split())
+        assert "a label that holds ``,``, ``∪`` or a line break" in " ".join(cli.__doc__.split())
 
     def test_non_finite_mass_exit_2(self, tmp_path):
         path = tmp_path / "nan.json"

@@ -790,3 +790,102 @@ class TestAcrArrayForm:
                 acr_generic(m1, m2, beta)
             raised.append((str(error.value), calls))
         assert raised[0] == raised[1] and len(raised[0][1]) == 3
+
+
+def assert_keeps_its_arrays(table):
+    """``table`` is a ``_Packed`` table whose arrays hold its keys and values, in order."""
+    masks, masses = table.arrays
+    assert type(table) is core._Packed and masks.dtype.str == "<u8" and masses.dtype.str == "<f8"
+    assert masks.tolist() == list(table)
+    assert [v.hex() for v in masses.tolist()] == [v.hex() for v in table.values()]
+
+
+def sacr_mix(k):
+    return alpha0(k), beta0(k)
+
+
+class TestPackedTable:
+    """A table the array form returns keeps its arrays, which the next step and ``betp``
+    read, and otherwise behaves as the plain dict of its items."""
+
+    def test_every_wide_union_step_above_the_budget(self, monkeypatch):
+        from belieffusion import ScenarioConfig, run_scenario
+
+        arrays, tables = rules._acr_arrays, []
+
+        def keeping(*args):
+            out = arrays(*args)
+            tables.append(out[0])
+            return out
+
+        monkeypatch.setattr(rules, "_acr_arrays", keeping)
+        for seed in range(30):
+            run_scenario(ScenarioConfig(rule="sacr", seed=seed, **TestAcrArrayForm.WIDE_UNION))
+        assert len(tables) == 137
+        for table in tables:
+            assert_keeps_its_arrays(table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coarse_bba_pairs())
+    def test_coarse_bbas(self, pair):
+        out = rules._acr_arrays(*pair, sacr_mix)
+        if out is not None:
+            assert_keeps_its_arrays(out[0])
+
+    def test_a_wide_fold_packs_no_state_the_array_form_made(self, monkeypatch):
+        # Only states the dict pass made are packed: once by ``betp``, and the one the
+        # first array step reads once more, by that step.
+        from belieffusion import ScenarioConfig, decision, run_scenario, scenario
+
+        arrays, betp, packed, states = core._arrays, scenario.betp, [], []
+
+        def packing(table):
+            if type(table) is not core._Packed:
+                packed.append(table)
+            return arrays(table)
+
+        def reading(m):
+            states.append(m._table)
+            return betp(m)
+
+        monkeypatch.setattr(rules, "_arrays", packing)
+        monkeypatch.setattr(decision, "_arrays", packing)
+        monkeypatch.setattr(scenario, "betp", reading)
+        result = run_scenario(ScenarioConfig(rule="sacr", seed=14, **TestAcrArrayForm.WIDE_UNION))
+        counts = [sum(t is s for t in packed) for s in states]
+        plain = [c for s, c in zip(states, counts) if type(s) is dict]
+        assert [type(s) for s in states].count(core._Packed) == 15
+        assert len(plain) + 15 == len(states) == 25
+        assert max(plain[:-1]) == 1 and plain[-1] == 2
+        assert type(result._state._table) is core._Packed
+        assert type(result.final_state._table) is dict
+
+    def test_behaves_as_the_plain_dict_of_its_items(self):
+        import copy
+
+        m1, m2 = random_pair(5)
+        table, _ = rules._acr_arrays(m1, m2, sacr_mix)
+        packed, plain = core._mass(m1.frame, table), core._mass(m1.frame, dict(table))
+        assert type(packed._table) is core._Packed and type(plain._table) is dict
+        assert repr(packed) == repr(plain) and packed == plain and plain == packed
+        data = pickle.dumps(packed)
+        assert b"numpy" not in data
+        for m in (pickle.loads(data), copy.deepcopy(packed)):
+            assert type(m._table) is dict and m == plain
+            assert list(m._table.items()) == list(plain._table.items())
+
+    def test_a_zero_mass_at_total_conflict_leaves_a_plain_dict(self, monkeypatch):
+        # k12 rounds to 1.0, so β = 0 and B, which only meets (AB ∩ BC), gets 0.0.
+        from belieffusion import betp
+
+        m1 = bba(FRAME_ABC, {"A": 1.0, "AB": 1e-100})
+        m2 = bba(FRAME_ABC, {"C": 1.0, "BC": 1e-100})
+        table, pairs = assert_forms_agree(sacr.__wrapped__, m1, m2)
+        assert pairs.k12 == 1.0 and type(table) is core._Packed and table[0b010] == 0.0
+        probs = []
+        for budget in (0, math.inf):
+            monkeypatch.setattr(rules, "_ACR_ARRAY_PAIRS", budget)
+            out = sacr(m1, m2)
+            assert type(out._table) is dict and 0b010 not in out._table
+            probs.append([p.hex() for p in betp(out).probs])
+        assert probs[0] == probs[1]
