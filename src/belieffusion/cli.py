@@ -207,7 +207,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
         print(f"belieffusion: {exc}", file=sys.stderr)
         return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

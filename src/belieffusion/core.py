@@ -322,7 +322,8 @@ class FocalSet(_Record):
 class MassFunction(_Record):
     """A sparse basic belief assignment over subsets of a frame.
 
-    Only strictly positive masses are stored; reading an absent set yields 0.
+    A zero mass is not stored, and reading an absent set yields 0; a set from
+    another frame raises ``FrameMismatchError``, whatever its mass.
     ``open_world`` marks results that legitimately carry mass on the empty
     set (the conjunctive operator, Smets' rule); every combination rule and
     ``betp`` take only closed-world bbas: ``open_world=False``, no mass on ∅.
@@ -336,10 +337,10 @@ class MassFunction(_Record):
     def __init__(
         self, frame: Frame, entries: Mapping[FocalSet, float], open_world: bool = False
     ) -> None:
-        table = {fs.bits: x for fs, v in entries.items() if (x := _number(frame, fs, v)) != 0.0}
-        if any(fs.width != frame.size for fs, v in entries.items() if v != 0.0):
+        if any(fs.width != frame.size for fs in entries):
             raise FrameMismatchError("focal set width does not match frame")
-        self.__dict__.update(frame=frame, _table=table, open_world=open_world)
+        table = {fs.bits: _number(frame, fs, v) for fs, v in entries.items()}
+        self.__dict__.update(frame=frame, _table=_nonzero(table), open_world=open_world)
 
     @cached_property
     def entries(self) -> Mapping[FocalSet, float]:
@@ -415,8 +416,9 @@ def _pair_pass(
     """The one pass over m1 × m2 that every combination rule builds on.
 
     Works on raw ``int`` bit masks in storage order and returns the ∩-table of the non-empty
-    intersections without zero masses, the disjoint pairs ``(x, y, m1(x), m2(y))``, which
-    alone record the conflict, and, when ``union`` is set, the ∪-table (otherwise ``None``).
+    intersections, the disjoint pairs ``(x, y, m1(x), m2(y))``, which alone record the
+    conflict, and, when ``union`` is set, the ∪-table (otherwise ``None``). A set whose
+    products all round to 0.0 keeps a 0.0 in its table until ``_mass`` drops it.
     """
     _check_pair(m1, m2)
     right = list(m2._table.items())
@@ -434,7 +436,7 @@ def _pair_pass(
             if join is not None:
                 u = x | y
                 join[u] = join.get(u, 0.0) + product
-    return _nonzero(meet), disjoint, join
+    return meet, disjoint, join
 
 
 def _check_pair(m1: MassFunction, m2: MassFunction) -> None:

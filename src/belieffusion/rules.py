@@ -106,9 +106,8 @@ smets = conjunctive
 def yager(m1: MassFunction, m2: MassFunction) -> Policy:
     """Conjunctive rule with the conflict transferred to total ignorance."""
     out, disjoint, _ = _pair_pass(m1, m2)
-    if disjoint.k12:
-        full = (1 << m1.frame.size) - 1
-        out[full] = out.get(full, 0.0) + disjoint.k12
+    full = (1 << m1.frame.size) - 1
+    out[full] = out.get(full, 0.0) + disjoint.k12
     return out, disjoint
 
 
@@ -140,9 +139,7 @@ def inagaki_generic(
     out, disjoint, _ = _pair_pass(m1, m2)
     k12 = disjoint.k12
     for z, v in w._table.items():
-        share = v * k12
-        if share:
-            out[z] = out.get(z, 0.0) + share
+        out[z] = out.get(z, 0.0) + v * k12
     return out, disjoint
 
 
@@ -199,12 +196,10 @@ def _acr_combine(
 
     From ``_ACR_ARRAY_PAIRS`` pairs on, on a frame of at most 64 atoms, the step is
     ``_acr_arrays``, which gives the same table, in the same order, and the same pairs,
-    with the same bits, unless it declines; otherwise one dict pass makes it. Either way
-    the step makes one pass, and its k12 is the pairs' ``k12``."""
+    with the same bits; otherwise one dict pass makes it. Either way the step makes one
+    pass, and its k12 is the pairs' ``k12``."""
     if m1.frame.size <= 64 and len(m1._table) * len(m2._table) >= _ACR_ARRAY_PAIRS:
-        policy = _acr_arrays(m1, m2, mix)
-        if policy is not None:
-            return policy
+        return _acr_arrays(m1, m2, mix)
     meet, disjoint, join = _pair_pass(m1, m2, union=True)
     alpha, beta = mix(disjoint.k12)
     out = {z: beta * v for z, v in meet.items()}
@@ -218,9 +213,9 @@ def _acr_combine(
 
 def _acr_arrays(
     m1: MassFunction, m2: MassFunction, mix: Callable[[float], tuple[float, float]]
-) -> Policy | None:
+) -> Policy:
     """``_acr_combine``'s step from the inputs' ``_arrays``, one ``uint64`` mask per set, as a
-    ``_Packed`` table; ``None`` when a ∩-sum is 0.0, which the dict pass would drop.
+    ``_Packed`` table, which keeps a 0.0 where the dict pass's table does.
 
     The |m1| × |m2| products, ∩ and ∪ masks lie in the pass's visit order (row x of m1,
     column y of m2). One ``np.unique`` over the non-empty ∩ masks followed by the ∪
@@ -246,8 +241,6 @@ def _acr_arrays(
     del i, j, x, y, a, b
     size, n = len(keys), len(meets)
     meet = np.bincount(inverse[:n], products[hit], size)
-    if (meet[first < n] == 0.0).any():
-        return None
     join = np.bincount(inverse[n:], products, size)
     in_join = np.zeros(size, bool)
     in_join[inverse[n:]] = True
@@ -307,7 +300,7 @@ def acr_inagaki_weights(
     if k12 == 0.0:
         raise DegenerateError("weights are undefined at zero conflict")
     b = beta(k12)
-    disj, width = _nonzero(join), m1.frame.size
+    meet, disj, width = _nonzero(meet), _nonzero(join), m1.frame.size
     return {
         FocalSet(z, width): (1.0 - b) / k12 * (disj.get(z, 0.0) - meet.get(z, 0.0))
         + b * disj.get(z, 0.0)
@@ -349,10 +342,8 @@ def pcr(m1: MassFunction, m2: MassFunction) -> Policy:
     proportionally to their individual masses."""
     out, disjoint, _ = _pair_pass(m1, m2)
     for x, y, _, to_x, to_y in _shares(disjoint):
-        if to_x:
-            out[x] = out.get(x, 0.0) + to_x
-        if to_y:
-            out[y] = out.get(y, 0.0) + to_y
+        out[x] = out.get(x, 0.0) + to_x
+        out[y] = out.get(y, 0.0) + to_y
     return out, disjoint
 
 

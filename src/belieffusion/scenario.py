@@ -224,18 +224,17 @@ def gen_report(
 
 def report_bba(report_set: FocalSet, frame: Frame, report_mass: float) -> MassFunction:
     """Turn a reported target set into a simple bba: mass on the set, the
-    remainder on total ignorance. The mass function's checks are made here,
-    on the two entries, and its int table is built directly."""
+    remainder on total ignorance, which ``_mass`` drops when it is 0.0. The
+    mass function's checks are made here, on the two entries, and its int
+    table is built directly."""
     if report_set.is_empty:
         raise ValueError("a report must name at least one target")
     if report_set.width != frame.size:
         raise FrameMismatchError("focal set width does not match frame")
     mass = _number(frame, report_set, report_mass)
+    full = (1 << frame.size) - 1
     table = {report_set.bits: mass}
-    rest = 1.0 - mass
-    if rest:
-        full = (1 << frame.size) - 1
-        table[full] = table.get(full, 0.0) + rest
+    table[full] = table.get(full, 0.0) + (1.0 - mass)
     return _mass(frame, table)
 
 

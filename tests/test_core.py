@@ -21,6 +21,7 @@ from belieffusion import (
     conjunctive,
     decide,
     disjunctive,
+    inagaki_generic,
     make_frame,
     pcr,
     vacuous,
@@ -219,6 +220,14 @@ class TestMassFunctionStorage:
         wide = make_frame(["A", "B", "C"]).subset(["A"])
         with pytest.raises(FrameMismatchError):
             MassFunction(FRAME_AB, {wide: 1.0})
+
+    def test_set_from_another_frame_raises_whatever_its_mass(self):
+        for foreign in (0.0, -0.0):
+            weights = {FocalSet(1, 3): foreign, FRAME_AB.full_set(): 1.0}
+            with pytest.raises(FrameMismatchError):
+                MassFunction(FRAME_AB, weights)
+            with pytest.raises(FrameMismatchError):
+                inagaki_generic(*EX1, weights)
 
     def test_equality_compares_frame_masses_and_open_world(self):
         a, ab = FRAME_AB.subset(["A"]), FRAME_AB.full_set()

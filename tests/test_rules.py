@@ -40,8 +40,9 @@ from belieffusion import (
 from belieffusion import core, rules
 from belieffusion.rules import _POLICIES, RULES, _step
 
-from conftest import (EX1, EX2, EX3, FRAME_AB, FRAME_ABC, SKEWED, ZADEH, bba, labelled, pcr_oracle,
-                      random_bba, random_coarsening)
+from conftest import (EX1, EX2, EX3, FRAME_AB, FRAME_ABC, SKEWED, ZADEH, assert_masses_close, bba,
+                      conjunctive_oracle, disjunctive_oracle, labelled, pcr_oracle, random_bba,
+                      random_coarsening)
 from test_core import frame_and_bbas
 
 
@@ -751,13 +752,14 @@ class TestAcrArrayForm:
         assert abs(math.fsum(drifted._table.values()) - 1.0) > 1e-7
         assert abs(math.fsum(table.values()) - 1.0) <= 1e-12
 
-    def test_zero_meet_sum_falls_back_to_the_dict_form(self):
-        # A ∩ AB = A only from a product that underflows to 0.0: the dict pass
-        # drops A from its ∩-table, so the array form declines the step.
+    def test_zero_meet_sum_stays_in_both_forms_until_the_mass_function(self):
+        # A ∩ AB = A only from a product that underflows to 0.0: both forms keep A's
+        # 0.0 at its first-meet place, and only the mass function drops it.
         m1 = bba(FRAME_ABC, {"A": 1e-200, "BC": 1.0})
         m2 = bba(FRAME_ABC, {"AB": 1e-200, "C": 1.0})
-        table, _ = assert_forms_agree(sacr.__wrapped__, m1, m2, taken=(False,))
-        assert 0b001 not in table
+        table, _ = assert_forms_agree(sacr.__wrapped__, m1, m2, taken=(True,))
+        assert list(table.items())[0] == (0b001, 0.0)
+        assert 0b001 not in sacr(m1, m2)._table
 
     def test_nan_mass(self):
         m1, m2 = random_pair(2)
@@ -889,3 +891,50 @@ class TestPackedTable:
             assert type(out._table) is dict and 0b010 not in out._table
             probs.append([p.hex() for p in betp(out).probs])
         assert probs[0] == probs[1]
+
+
+# Masses whose products with each other round to 0.0, which happens below about 2.5e-324.
+TINY = (1e-200, 1e-250, 1e-300, 5e-324)
+
+
+def underflowing_pairs():
+    """Pairs on three labels where a ∩-sum, a ∪-sum or a PCR share rounds to 0.0: two by
+    hand, then random ones that put ``TINY`` masses on up to three sets of each bba."""
+    pairs = [
+        (bba(FRAME_ABC, {"A": 1e-200, "BC": 1.0}), bba(FRAME_ABC, {"AB": 1e-200, "C": 1.0})),
+        (bba(FRAME_ABC, {"A": 1e-200, "B": 0.5, "ABC": 0.5}), bba(FRAME_ABC, {"C": 1.0})),
+    ]
+    rng = random.Random(324)
+    for _ in range(40):
+        pair = []
+        for _ in range(2):
+            # Θ and one other set share the mass; each further set gets a tiny one.
+            masks = [0b111, *rng.sample(range(1, 7), rng.randint(1, 4))]
+            theta = rng.uniform(0.1, 1.0)
+            masses = [theta, 1.0 - theta] + [rng.choice(TINY) for _ in masks[2:]]
+            pair.append(core._mass(FRAME_ABC, dict(zip(masks, masses))))
+        pairs.append(tuple(pair))
+    return pairs
+
+
+@pytest.mark.parametrize("m1, m2", [pytest.param(*pair, id=f"pair{i}")
+                                    for i, pair in enumerate(underflowing_pairs())])
+def test_products_that_underflow_leave_no_zero_mass(m1, m2):
+    for name, rule in RULES.items():
+        out = rule(m1, m2)
+        assert 0.0 not in out._table.values(), name
+        assert out.open_world or validate(out).ok, name
+    for operator, oracle in ((conjunctive, conjunctive_oracle),
+                             (disjunctive, disjunctive_oracle), (pcr, pcr_oracle)):
+        out = operator(m1, m2)
+        assert 0.0 not in out._table.values()
+        assert_masses_close(out, oracle(m1, m2), 1e-12)
+    k12 = conflict(m1, m2).total
+    assert k12 == conjunctive(m1, m2)._table.get(0, 0.0)
+    assert math.fsum(s.to_x + s.to_y for s in pcr_shares(m1, m2)) == pytest.approx(k12, abs=1e-12)
+    if k12:
+        # Its keys are the sets that the two operators store.
+        keys = set(disjunctive(m1, m2).entries) | set(conjunctive(m1, m2).entries)
+        keys.discard(FRAME_ABC.empty_set())
+        assert set(acr_inagaki_weights(m1, m2, beta0)) == keys
+    assert_forms_agree(sacr.__wrapped__, m1, m2)
