@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 
 from .core import FocalSet, MassFunction, _arrays, _check_closed_world
 
@@ -38,7 +39,8 @@ Decision = namedtuple("Decision", "index probability tie")
 _BETP_LOOP_MEMBERS = 320
 
 # Rows of the member matrix expanded at once; bounds the int64 select block
-# to 256 × frame-size × 8 bytes however many focal sets the bba holds.
+# to 256 × frame-size × 8 bytes however many focal sets the bba holds, and on
+# a frame of more than 64 atoms the packed mask bytes to 256 × ⌈frame-size / 8⌉.
 _BETP_BLOCK = 256
 
 
@@ -96,22 +98,25 @@ def _betp_numpy(table: dict[int, float], sizes: tuple[int, ...]) -> tuple[float,
     if n <= 64:  # one uint64 per mask: every fold's coarsening at 25 reports
         masks, masses = _arrays(table)
         packed = masks.view(np.uint8).reshape(len(table), 8)
-    else:
-        nbytes = (n + 7) // 8
-        packed = np.frombuffer(
-            b"".join(z.to_bytes(nbytes, "little") for z in table), dtype=np.uint8
-        ).reshape(len(table), nbytes)
+    else:  # the masks are packed below, one block at a time
+        keys, nbytes = iter(table), (n + 7) // 8
         masses = np.fromiter(table.values(), np.float64, len(table))
     # Labels per atom, as floats: a set's size is a sum of whole numbers, so exact.
     labels = np.array(sizes, dtype=np.float64)
     acc = np.zeros(n)
     for start in range(0, len(masses), _BETP_BLOCK):
         block = slice(start, start + _BETP_BLOCK)
-        member = np.unpackbits(packed[block], axis=1, count=n, bitorder="little")
+        if n <= 64:
+            bits = packed[block]
+        else:  # this block's masks, packed now: ``keys`` yields them in storage order
+            line = b"".join(z.to_bytes(nbytes, "little") for z in islice(keys, _BETP_BLOCK))
+            bits = np.frombuffer(line, np.uint8).reshape(-1, nbytes)
+        member = np.unpackbits(bits, axis=1, count=n, bitorder="little")
         shares = masses[block] / (member @ labels)
         rows = np.multiply(member, shares.view(np.int64)[:, None]).view(np.float64)
         rows[0] += acc
         acc = np.add.reduce(rows, axis=0)
+        del rows  # before the next block's, so that one block's rows are alive at a time
     return tuple(acc.tolist())
 
 

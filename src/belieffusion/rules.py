@@ -182,9 +182,8 @@ _ACR_DRIFT_TOL = 1e-12
 
 # The fewest focal pairs, |m1| × |m2|, for which ``_acr_combine`` groups its sums in
 # numpy, on a frame of at most 64 atoms. Both forms were timed per call (best of 5) on
-# the sacr steps of wide-union seeds 0-29: least-squares lines over the steps of 100-800
-# pairs cross at 259, and the median dict/array time ratio is 0.94 at 150-250 pairs,
-# 1.08 at 250-350 and 1.39 at 600-900. Every sweep-desk step is far below it.
+# the sacr steps of wide-union seeds 0-29: the median dict/array time ratio is 0.98 at
+# 200-299 pairs, 1.23 at 300-399 and 1.74 at 700-799. Every sweep-desk step is far below it.
 _ACR_ARRAY_PAIRS = 300
 
 
@@ -218,13 +217,16 @@ def _acr_arrays(
     ``_Packed`` table, which keeps a 0.0 where the dict pass's table does.
 
     The |m1| × |m2| products, ∩ and ∪ masks lie in the pass's visit order (row x of m1,
-    column y of m2). One ``np.unique`` over the non-empty ∩ masks followed by the ∪
-    masks groups both, and its first index orders the keys as the dict pass inserts
-    them: the ∩-table's keys by first meeting, then the ∪-only keys by first joining.
-    ``np.bincount`` adds each key's products in visit order, from 0.0, as the dict pass
-    does. Each key takes β·∩ and then adds α·∪ only where the pass has a ∪ term, so a
-    nan α reaches no set that only meets, and ``np.cumsum`` adds the output left to
-    right, as ``_sum_in_order`` does."""
+    column y of m2). One ``argsort`` (``perm``) of the non-empty ∩ masks followed by the
+    ∪ masks groups both. The default sort is not stable, so a group's indices in ``perm``
+    come in no set order, but the masks lie in visit order, so the least of them is the
+    group's first visit. It orders the keys as the dict pass inserts them: the ∩-table's
+    keys by first meeting, then the ∪-only keys by first joining. ``np.bincount`` adds
+    each key's products in visit order, from 0.0, as the dict pass does. Each key takes
+    β·∩ and then adds α·∪ only where the pass has a ∪ term, so a nan α reaches no set
+    that only meets, and ``np.cumsum`` adds the output left to right, as
+    ``_sum_in_order`` does. Each grouping array is deleted once it is spent, so that the
+    step holds little beyond its result while ``_Packed`` builds the table."""
     import numpy as np
 
     _check_pair(m1, m2)
@@ -234,28 +236,37 @@ def _acr_arrays(
     hit = meets != 0
     i, j = np.divmod(np.flatnonzero(~hit), len(y))
     disjoint = Pairs(zip(x[i].tolist(), y[j].tolist(), a[i].tolist(), b[j].tolist()))
-    meets = meets[hit]
-    keys, first, inverse = np.unique(
-        np.concatenate([meets, np.bitwise_or.outer(x, y).ravel()]),
-        return_index=True, return_inverse=True)
-    del i, j, x, y, a, b
-    size, n = len(keys), len(meets)
+    n = int(hit.sum())
+    masks = np.concatenate([meets[hit], np.bitwise_or.outer(x, y).ravel()])
+    del i, j, x, y, a, b, meets
+    perm = np.argsort(masks)
+    masks = masks[perm]
+    start = np.empty(len(masks), bool)
+    start[0] = True
+    np.not_equal(masks[1:], masks[:-1], out=start[1:])
+    starts = np.flatnonzero(start)
+    keys, first = masks[starts], np.minimum.reduceat(perm, starts)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.cumsum(start) - 1
+    del masks, perm, start, starts
+    size = len(keys)
     meet = np.bincount(inverse[:n], products[hit], size)
     join = np.bincount(inverse[n:], products, size)
     in_join = np.zeros(size, bool)
     in_join[inverse[n:]] = True
-    del products, hit, meets, inverse
+    del products, hit, inverse
     alpha, beta = mix(disjoint.k12)
     # A set that only joins gets β·0.0 = 0.0 first, as from ``out.get``: β ≥ 0 on
     # closed-world inputs, and a nan β comes with a nan α.
     out = beta * meet
     out[in_join] += alpha * join[in_join]
     order = np.argsort(first)
-    out = out[order]
+    keys, out = keys[order].astype("<u8", copy=False), out[order]
+    del meet, join, in_join, first, order
     norm = float(np.cumsum(out)[-1])
     if abs(norm - 1.0) > _ACR_DRIFT_TOL:
         out /= norm
-    return _Packed(keys[order].astype("<u8", copy=False), out), disjoint
+    return _Packed(keys, out), disjoint
 
 
 @_rule

@@ -4,6 +4,7 @@ brute-force oracles that enumerate all subset pairs of the power set."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ def assert_masses_close(m: MassFunction, expected: dict[int, float], tol: float)
         got = m.mass(FocalSet(bits, n))
         want = expected.get(bits, 0.0)
         assert abs(got - want) <= tol, (bin(bits), got, want)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)``, the most memory that tracemalloc saw allocated at once during the
+    call, and what the call left allocated (its result, mostly), both in bytes."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak - before, held - before
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from belieffusion import (
 )
 from belieffusion import core, decision
 
-from conftest import EX1, FRAME_AB, ZADEH, bba, random_coarsening
+from conftest import EX1, FRAME_AB, ZADEH, bba, random_coarsening, traced_peak
 from test_core import frame_and_bbas
 
 # betp's member budget that puts every bba on each path: above any bba's
@@ -184,6 +184,16 @@ def test_betp_paths_meet_at_the_member_budget(monkeypatch, width):
         assert sum(fs.cardinality for fs in m.entries) == total
         assert betp(m).probs == reference_betp(m)
         assert len(numpy_calls) == calls
+
+
+def test_a_wide_bba_is_packed_one_block_at_a_time():
+    # 20,000 sets on 135 labels: the whole table's packed masks, with one bytes
+    # object per set, took the call's peak to 3.1 MB; one block's take it to 0.6 MB.
+    m = random_wide_bba(135, 20_000, seed=135)
+    betp(m)
+    p, peak, _ = traced_peak(betp, m)
+    assert peak < 1.5e6
+    assert p.probs == reference_betp(m)
 
 
 class TestMemberMemo:

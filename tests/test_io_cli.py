@@ -38,7 +38,7 @@ FRAME_CBA = make_frame(["C", "B", "A"])  # not in sorted order, so frame order s
 class TestMassFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.json"
-        write_mass(str(path), EX1[0])
+        assert write_mass(str(path), EX1[0]) is None
         again = read_mass(str(path))
         assert again.frame == EX1[0].frame
         assert again.entries == EX1[0].entries

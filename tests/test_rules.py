@@ -42,7 +42,7 @@ from belieffusion.rules import _POLICIES, RULES, _step
 
 from conftest import (EX1, EX2, EX3, FRAME_AB, FRAME_ABC, SKEWED, ZADEH, assert_masses_close, bba,
                       conjunctive_oracle, disjunctive_oracle, labelled, pcr_oracle, random_bba,
-                      random_coarsening)
+                      random_coarsening, traced_peak)
 from test_core import frame_and_bbas
 
 
@@ -633,18 +633,17 @@ def policy_bits(policy_output):
             [(x, y, a.hex(), b.hex()) for x, y, a, b in pairs], pairs.k12.hex())
 
 
-def assert_forms_agree(policy, m1, m2, *args, taken=(True,)):
+def assert_forms_agree(policy, m1, m2, *args, calls=1):
     """Run ``policy(m1, m2, *args)`` with ``_acr_combine`` handing every step on a frame of
     at most 64 atoms to the array form (budget 0), then with the budget off, so that the
-    dict form alone runs; check that they agree bit for bit and, per step of the first
-    run, whether the array form took it. Returns the first run's result."""
+    dict form alone runs; check that they agree bit for bit and that the array form made
+    ``calls`` steps of the first run. Returns the first run's result."""
     seen = []
     arrays = rules._acr_arrays
 
     def spying(*a):
-        out = arrays(*a)
-        seen.append(out is not None)
-        return out
+        seen.append(a)
+        return arrays(*a)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rules, "_acr_arrays", spying)
@@ -652,7 +651,7 @@ def assert_forms_agree(policy, m1, m2, *args, taken=(True,)):
         on = policy(m1, m2, *args)
         mp.setattr(rules, "_ACR_ARRAY_PAIRS", math.inf)
         off = policy(m1, m2, *args)
-    assert seen == list(taken)
+    assert len(seen) == calls
     assert policy_bits(on) == policy_bits(off)
     return on
 
@@ -739,7 +738,7 @@ class TestAcrArrayForm:
         m1, m2 = (spread_bba(frame, {rng.getrandbits(65) for _ in range(20)}, rng)
                   for _ in range(2))
         assert len(m1._table) * len(m2._table) >= rules._ACR_ARRAY_PAIRS
-        assert_forms_agree(sacr.__wrapped__, m1, m2, taken=())
+        assert_forms_agree(sacr.__wrapped__, m1, m2, calls=0)
 
     def test_zero_conflict(self):
         m1, m2 = random_pair(0, low=1)
@@ -757,7 +756,7 @@ class TestAcrArrayForm:
         # 0.0 at its first-meet place, and only the mass function drops it.
         m1 = bba(FRAME_ABC, {"A": 1e-200, "BC": 1.0})
         m2 = bba(FRAME_ABC, {"AB": 1e-200, "C": 1.0})
-        table, _ = assert_forms_agree(sacr.__wrapped__, m1, m2, taken=(True,))
+        table, _ = assert_forms_agree(sacr.__wrapped__, m1, m2)
         assert list(table.items())[0] == (0b001, 0.0)
         assert 0b001 not in sacr(m1, m2)._table
 
@@ -830,9 +829,7 @@ class TestPackedTable:
     @settings(max_examples=150, deadline=None)
     @given(coarse_bba_pairs())
     def test_coarse_bbas(self, pair):
-        out = rules._acr_arrays(*pair, sacr_mix)
-        if out is not None:
-            assert_keeps_its_arrays(out[0])
+        assert_keeps_its_arrays(rules._acr_arrays(*pair, sacr_mix)[0])
 
     def test_a_wide_fold_packs_no_state_the_array_form_made(self, monkeypatch):
         # Only states the dict pass made are packed: once by ``betp``, and the one the
@@ -861,6 +858,24 @@ class TestPackedTable:
         assert max(plain[:-1]) == 1 and plain[-1] == 2
         assert type(result._state._table) is core._Packed
         assert type(result.final_state._table) is dict
+
+    def test_the_last_step_of_seed_14_holds_little_beyond_its_result(self, monkeypatch):
+        # 15,652 × 2 sets. With every grouping array alive while ``_Packed`` built the
+        # table, the step peaked 2.4 MB above its 4.7 MB result; now 1.1 MB.
+        from belieffusion import ScenarioConfig, run_scenario
+
+        arrays, last = rules._acr_arrays, []
+
+        def keeping(*args):
+            last[:] = args
+            return arrays(*args)
+
+        monkeypatch.setattr(rules, "_acr_arrays", keeping)
+        run_scenario(ScenarioConfig(rule="sacr", seed=14, **TestAcrArrayForm.WIDE_UNION))
+        m1, m2, mix = last
+        assert (len(m1._table), len(m2._table)) == (15_652, 2)
+        _, peak, held = traced_peak(arrays, m1, m2, mix)
+        assert peak - held < 1.8e6
 
     def test_behaves_as_the_plain_dict_of_its_items(self):
         import copy
